@@ -1,6 +1,6 @@
 // M1 — google-benchmark micro-benchmarks for the heavy kernels backing the
-// reproduction: GEMM, covariance reduction, PCA fit, forest fit, SMO SVM,
-// boosted trees, LSTM step and telemetry synthesis.
+// reproduction: GEMM, covariance reduction, PCA fit, forest fit and predict,
+// SMO SVM, boosted trees, LSTM step and telemetry synthesis.
 #include <benchmark/benchmark.h>
 
 #include "common/rng.hpp"
@@ -111,6 +111,31 @@ void BM_RandomForestFit(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RandomForestFit);
+
+// Forest predict at the serving shapes: 100 trees, 28 features, 26 classes;
+// arg = rows per call. Called from the benchmark thread, which is outside
+// the pool, so batches above ForestTable::kTileRows rows fan their row
+// tiles out over the pool; on a pool worker (the serving path) the same
+// call runs serially.
+void BM_RandomForestPredict(benchmark::State& state) {
+  const auto batch = static_cast<std::size_t>(state.range(0));
+  Matrix x;
+  std::vector<int> y;
+  blob_data(800, 28, 26, x, y);
+  ml::RandomForest forest({.n_estimators = 100});
+  forest.fit(x, y);
+  Matrix probe(batch, x.cols());
+  for (std::size_t r = 0; r < batch; ++r) {
+    const auto src = x.row((r * 37) % x.rows());
+    std::copy(src.begin(), src.end(), probe.row(r).begin());
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(forest.predict(probe));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(batch));
+}
+BENCHMARK(BM_RandomForestPredict)->Arg(1)->Arg(64)->UseRealTime();
 
 void BM_SvmFit(benchmark::State& state) {
   Matrix x;

@@ -30,12 +30,21 @@ ThreadPool::ThreadPool(std::size_t threads)
   }
 }
 
-ThreadPool::~ThreadPool() { stop(); }
+ThreadPool::~ThreadPool() {
+  stop();
+  // Another thread's stop() can still be running here: it set stop_, and
+  // this thread's stop() then joined the workers while that call was still
+  // inside cv_.notify_all() or waiting for join_mutex_. Wait until it has
+  // left, or cv_ and join_mutex_ would be destroyed under it.
+  const LockGuard lock(mutex_);
+  while (stoppers_ != 0) cv_.wait(mutex_);
+}
 
 void ThreadPool::stop() {
   {
     const LockGuard lock(mutex_);
     stop_ = true;
+    ++stoppers_;
   }
   cv_.notify_all();
   // No early-out on a repeated stop(): every caller must pass through the
@@ -44,10 +53,16 @@ void ThreadPool::stop() {
   // destroy the pool under live workers). join_mutex_ serialises the
   // std::thread::join calls themselves, which are not concurrency-safe on
   // the same thread object; joinable() makes the second pass a no-op.
-  const LockGuard join_lock(join_mutex_);
-  for (auto& w : workers_) {
-    if (w.joinable()) w.join();
+  {
+    const LockGuard join_lock(join_mutex_);
+    for (auto& w : workers_) {
+      if (w.joinable()) w.join();
+    }
   }
+  // Notify while still holding mutex_: the destructor cannot observe zero,
+  // and free cv_, before this call has released the lock.
+  const LockGuard lock(mutex_);
+  if (--stoppers_ == 0) cv_.notify_all();
 }
 
 bool ThreadPool::stopped() const {

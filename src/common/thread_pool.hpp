@@ -79,8 +79,9 @@ class ThreadPool {
   /// concurrent one — returns only after all workers have exited. (An
   /// earlier version let a second caller return while the first was still
   /// joining, so a destructor racing another thread's stop() could free the
-  /// pool under live workers.) Called by the destructor. After stop() the
-  /// pool permanently rejects submissions.
+  /// pool under live workers.) Called by the destructor, which also waits
+  /// for every other in-flight stop() to return before the pool's members
+  /// are destroyed. After stop() the pool permanently rejects submissions.
   void stop();
 
   /// True once stop() has begun (subsequent submits will throw).
@@ -100,6 +101,9 @@ class ThreadPool {
   std::deque<std::packaged_task<void()>> queue_ SCWC_GUARDED_BY(mutex_);
   CondVar cv_;
   bool stop_ SCWC_GUARDED_BY(mutex_) = false;
+  // stop() calls in flight. The destructor waits for zero so it never frees
+  // cv_ or join_mutex_ under a concurrent external stop().
+  std::size_t stoppers_ SCWC_GUARDED_BY(mutex_) = 0;
 
   // Observability (scwc_common_pool_*). Handles are acquired per pool at
   // construction so a pool created after obs::set_enabled(true) reports;

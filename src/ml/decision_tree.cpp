@@ -182,6 +182,9 @@ const DecisionTree::Node& DecisionTree::descend(
   for (;;) {
     const Node& node = nodes_[idx];
     if (node.feature < 0) return node;
+    SCWC_REQUIRE(static_cast<std::size_t>(node.feature) < row.size(),
+                 "DecisionTree::predict: row has fewer features than the "
+                 "tree splits on");
     const double v = row[static_cast<std::size_t>(node.feature)];
     idx = static_cast<std::size_t>(v <= node.threshold ? node.left
                                                        : node.right);
@@ -213,18 +216,23 @@ linalg::Matrix DecisionTree::predict_proba(const linalg::Matrix& x) const {
 namespace scwc::ml {
 namespace detail {
 
+// One stream call per integer, not per byte: a 100-tree forest holds about
+// 700k of them, and the per-call cost dominates bundle save and load time.
 void write_u64_le(std::ostream& os, std::uint64_t v) {
+  char bytes[8];
   for (int i = 0; i < 8; ++i) {
-    os.put(static_cast<char>((v >> (8 * i)) & 0xFF));
+    bytes[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
   }
+  os.write(bytes, sizeof(bytes));
 }
 
 std::uint64_t read_u64_le(std::istream& is) {
+  char bytes[8];
+  SCWC_REQUIRE(is.read(bytes, sizeof(bytes)).gcount() == sizeof(bytes),
+               "model: truncated integer");
   std::uint64_t v = 0;
   for (int i = 0; i < 8; ++i) {
-    const int byte = is.get();
-    SCWC_REQUIRE(byte != EOF, "model: truncated integer");
-    v |= static_cast<std::uint64_t>(static_cast<unsigned char>(byte))
+    v |= static_cast<std::uint64_t>(static_cast<unsigned char>(bytes[i]))
          << (8 * i);
   }
   return v;
@@ -269,9 +277,9 @@ void DecisionTree::load(std::istream& is) {
   // Caps bound what a corrupted length field can make us allocate before
   // the truncation check fires: a single flipped bit in `count` must yield
   // a typed error, not a multi-gigabyte nodes_.assign.
-  SCWC_REQUIRE(num_classes_ <= (1ULL << 16),
+  SCWC_REQUIRE(num_classes_ >= 1 && num_classes_ <= (1ULL << 16),
                "model: unreasonable class count");
-  depth_ = detail::read_u64_le(is);
+  const std::uint64_t stored_depth = detail::read_u64_le(is);
   const std::uint64_t count = detail::read_u64_le(is);
   SCWC_REQUIRE(count < (1ULL << 20), "model: unreasonable node count");
   nodes_.assign(count, Node{});
@@ -285,12 +293,17 @@ void DecisionTree::load(std::istream& is) {
         static_cast<std::int64_t>(detail::read_u64_le(is)));
     node.majority = static_cast<std::int32_t>(detail::read_u64_le(is));
     const std::uint64_t fractions = detail::read_u64_le(is);
-    SCWC_REQUIRE(fractions <= num_classes_ + 1,
+    // A leaf carries one fraction per class (predict reads all of them);
+    // an internal node carries none.
+    SCWC_REQUIRE(fractions == (node.feature < 0 ? num_classes_ : 0),
                  "model: malformed leaf distribution");
     node.class_fraction.resize(fractions);
     for (double& f : node.class_fraction) f = detail::read_f64_le(is);
-    // Structural sanity: child indices stay inside the node array.
-    if (node.feature >= 0) {
+    if (node.feature < 0) {
+      SCWC_REQUIRE(node.majority >= 0 &&
+                       static_cast<std::uint64_t>(node.majority) < num_classes_,
+                   "model: leaf majority out of range");
+    } else {
       SCWC_REQUIRE(node.left >= 0 &&
                        static_cast<std::uint64_t>(node.left) < count &&
                        node.right >= 0 &&
@@ -299,6 +312,36 @@ void DecisionTree::load(std::istream& is) {
     }
   }
   SCWC_REQUIRE(!nodes_.empty(), "model: empty tree");
+  depth_ = preorder_depth();
+  SCWC_REQUIRE(stored_depth == depth_,
+               "model: stored depth disagrees with the tree structure");
+}
+
+std::size_t DecisionTree::preorder_depth() const {
+  // Depth-first from the root, left child first: the i-th node visited must
+  // be nodes_[i]. A child that points back to an ancestor or to a node
+  // already visited (a shared child) fails the check as soon as it is
+  // reached, so the walk always terminates.
+  std::vector<std::pair<std::int32_t, std::size_t>> stack{{0, 0}};
+  std::size_t visited = 0;
+  std::size_t depth = 0;
+  while (!stack.empty()) {
+    const auto [idx, level] = stack.back();
+    stack.pop_back();
+    const auto at = static_cast<std::size_t>(idx);
+    SCWC_REQUIRE(at >= visited,
+                 "model: a child points back to an ancestor or a visited node");
+    SCWC_REQUIRE(at == visited, "model: nodes are not stored in preorder");
+    ++visited;
+    depth = std::max(depth, level);
+    const Node& node = nodes_[at];
+    if (node.feature < 0) continue;
+    stack.emplace_back(node.right, level + 1);
+    stack.emplace_back(node.left, level + 1);
+  }
+  SCWC_REQUIRE(visited == nodes_.size(),
+               "model: nodes unreachable from the root");
+  return depth;
 }
 
 }  // namespace scwc::ml

@@ -60,10 +60,16 @@ class DecisionTree final : public Classifier {
 
   /// Serialises the fitted tree (little-endian binary).
   void save(std::ostream& os) const;
-  /// Restores a tree saved with save(). Throws on malformed input.
+  /// Restores a tree saved with save(). Throws scwc::Error on malformed
+  /// input: nodes not in the preorder layout save() writes (which rules out
+  /// cycles and shared children), a leaf without exactly num_classes
+  /// fractions, or a stored depth that disagrees with the structure.
   void load(std::istream& is);
 
  private:
+  // Compiles fitted trees into the forest's node table and back.
+  friend class ForestTable;
+
   struct Node {
     // Internal node: feature/threshold and children; leaf: distribution.
     std::int32_t feature = -1;
@@ -78,6 +84,10 @@ class DecisionTree final : public Classifier {
                      std::vector<std::size_t>& rows, std::size_t lo,
                      std::size_t hi, std::size_t depth, Rng& rng);
   [[nodiscard]] const Node& descend(std::span<const double> row) const;
+  /// Checks that nodes_ is one tree stored in preorder (root first, each
+  /// left child right after its parent, each right child right after its
+  /// left subtree) and returns its depth. Throws scwc::Error otherwise.
+  [[nodiscard]] std::size_t preorder_depth() const;
 
   DecisionTreeConfig config_;
   std::uint64_t seed_;

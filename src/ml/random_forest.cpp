@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/error.hpp"
-#include "common/mutex.hpp"
 #include "common/thread_pool.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -18,10 +17,9 @@ void RandomForest::fit(const linalg::Matrix& x, std::span<const int> y) {
 
   int max_label = 0;
   for (const int label : y) max_label = std::max(max_label, label);
-  num_classes_ = static_cast<std::size_t>(max_label) + 1;
 
   DecisionTreeConfig tree_config = config_.tree;
-  tree_config.num_classes = num_classes_;
+  tree_config.num_classes = static_cast<std::size_t>(max_label) + 1;
   if (tree_config.max_features == 0) {
     tree_config.max_features = static_cast<std::size_t>(
         std::ceil(std::sqrt(static_cast<double>(x.cols()))));
@@ -36,7 +34,9 @@ void RandomForest::fit(const linalg::Matrix& x, std::span<const int> y) {
     bootstrap_seeds[t] = root.next_u64();
   }
 
-  trees_.assign(config_.n_estimators, DecisionTree(tree_config));
+  // Each worker compiles its tree as soon as it is grown and drops the
+  // per-node form, so the fit never holds every tree twice.
+  std::vector<ForestTable> compiled(config_.n_estimators);
   const std::size_t n = x.rows();
   const obs::TraceSpan fit_span("rf.fit");
   const obs::CounterHandle trees_total =
@@ -44,39 +44,44 @@ void RandomForest::fit(const linalg::Matrix& x, std::span<const int> y) {
   parallel_for(
       0, config_.n_estimators,
       [&](std::size_t t) {
-        trees_[t] = DecisionTree(tree_config, tree_seeds[t]);
+        DecisionTree tree(tree_config, tree_seeds[t]);
         if (config_.bootstrap) {
           Rng boot(bootstrap_seeds[t]);
           std::vector<std::size_t> rows(n);
           for (std::size_t i = 0; i < n; ++i) {
             rows[i] = static_cast<std::size_t>(boot.uniform_index(n));
           }
-          trees_[t].fit_on_rows(x, y, rows);
+          tree.fit_on_rows(x, y, rows);
         } else {
-          trees_[t].fit(x, y);
+          tree.fit(x, y);
         }
+        compiled[t].append(tree);
         trees_total.inc();
       },
       1);
+  ForestTable table;
+  for (const ForestTable& one : compiled) table.append(one);
+  table_ = std::move(table);
 }
 
 linalg::Matrix RandomForest::predict_proba(const linalg::Matrix& x) const {
-  SCWC_REQUIRE(!trees_.empty(), "RandomForest::predict before fit");
-  linalg::Matrix proba(x.rows(), num_classes_);
-  // Soft voting: average leaf class distributions across trees.
-  Mutex merge_mutex{"rf.merge"};
+  SCWC_REQUIRE(table_.tree_count() > 0, "RandomForest::predict before fit");
+  SCWC_REQUIRE(x.cols() > table_.max_feature(),
+               "RandomForest::predict: rows have fewer features than the "
+               "model splits on");
+  const std::size_t rows = x.rows();
+  linalg::Matrix proba(rows, table_.num_classes());
+  // Soft voting over row tiles. Every row is summed in tree order whichever
+  // thread runs its tile, so the split cannot change a single bit. On a
+  // pool worker (every serving call) this runs serially.
+  constexpr std::size_t kTile = ForestTable::kTileRows;
   parallel_for_blocked(
-      0, trees_.size(),
+      0, (rows + kTile - 1) / kTile,
       [&](std::size_t lo, std::size_t hi) {
-        linalg::Matrix local(x.rows(), num_classes_);
-        for (std::size_t t = lo; t < hi; ++t) {
-          local += trees_[t].predict_proba(x);
-        }
-        const LockGuard lock(merge_mutex);
-        proba += local;
+        table_.accumulate(x, lo * kTile, std::min(rows, hi * kTile), proba);
       },
       1);
-  proba *= 1.0 / static_cast<double>(trees_.size());
+  proba *= 1.0 / static_cast<double>(table_.tree_count());
   return proba;
 }
 
@@ -86,7 +91,7 @@ std::vector<int> RandomForest::predict(const linalg::Matrix& x) const {
   for (std::size_t r = 0; r < x.rows(); ++r) {
     const auto row = proba.row(r);
     std::size_t best = 0;
-    for (std::size_t c = 1; c < num_classes_; ++c) {
+    for (std::size_t c = 1; c < row.size(); ++c) {
       if (row[c] > row[best]) best = c;
     }
     out[r] = static_cast<int>(best);
@@ -111,22 +116,30 @@ constexpr std::uint64_t kForestMagic = 0x534357435F524631ULL;  // "SCWC_RF1"
 }
 
 void RandomForest::save(std::ostream& os) const {
-  SCWC_REQUIRE(!trees_.empty(), "RandomForest::save before fit");
+  SCWC_REQUIRE(table_.tree_count() > 0, "RandomForest::save before fit");
   detail::write_u64_le(os, kForestMagic);
-  detail::write_u64_le(os, num_classes_);
-  detail::write_u64_le(os, trees_.size());
-  for (const DecisionTree& tree : trees_) tree.save(os);
+  detail::write_u64_le(os, table_.num_classes());
+  detail::write_u64_le(os, table_.tree_count());
+  for (std::size_t t = 0; t < table_.tree_count(); ++t) table_.tree(t).save(os);
 }
 
 void RandomForest::load(std::istream& is) {
   SCWC_REQUIRE(detail::read_u64_le(is) == kForestMagic,
                "RandomForest::load: bad magic");
-  num_classes_ = detail::read_u64_le(is);
+  const std::uint64_t num_classes = detail::read_u64_le(is);
   const std::uint64_t count = detail::read_u64_le(is);
   SCWC_REQUIRE(count >= 1 && count < (1ULL << 20),
                "RandomForest::load: unreasonable tree count");
-  trees_.assign(count, DecisionTree());
-  for (DecisionTree& tree : trees_) tree.load(is);
+  ForestTable table;
+  for (std::uint64_t t = 0; t < count; ++t) {
+    DecisionTree tree;
+    tree.load(is);
+    SCWC_REQUIRE(tree.num_classes() == num_classes,
+                 "RandomForest::load: tree class count disagrees with the "
+                 "forest");
+    table.append(tree);
+  }
+  table_ = std::move(table);
 }
 
 void RandomForest::save_file(const std::string& path) const {

@@ -4,13 +4,15 @@
 // relies on them: Gini splits, bootstrap samples the size of the training
 // set, sqrt(d) features per split, soft (probability-averaged) voting.
 // Trees are grown in parallel, each from a forked RNG stream, so results
-// are independent of the thread count.
+// are independent of the thread count. Fitted trees are compiled into one
+// node table (ml/forest_table.hpp), the only form the forest keeps.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 
 #include "ml/decision_tree.hpp"
+#include "ml/forest_table.hpp"
 
 namespace scwc::ml {
 
@@ -30,17 +32,27 @@ class RandomForest final : public Classifier {
 
   void fit(const linalg::Matrix& x, std::span<const int> y) override;
   [[nodiscard]] std::vector<int> predict(const linalg::Matrix& x) const override;
+  /// Mean of the trees' leaf class fractions, summed per row in tree order
+  /// and scaled by 1/tree_count(). Bit-identical for any batch split and
+  /// thread count. Rows must have more columns than the largest feature
+  /// index the trees split on.
   [[nodiscard]] linalg::Matrix predict_proba(const linalg::Matrix& x) const;
   [[nodiscard]] std::string name() const override { return "RandomForest"; }
 
-  [[nodiscard]] std::size_t tree_count() const noexcept { return trees_.size(); }
+  [[nodiscard]] std::size_t tree_count() const noexcept {
+    return table_.tree_count();
+  }
   [[nodiscard]] const RandomForestConfig& config() const noexcept {
     return config_;
   }
 
   /// Serialises the fitted forest so a deployed monitor (see
-  /// examples/live_monitor.cpp) can load it without retraining.
+  /// examples/live_monitor.cpp) can load it without retraining. The
+  /// SCWC_RF1 layout: magic, class count, tree count, then each tree as
+  /// DecisionTree::save writes it.
   void save(std::ostream& os) const;
+  /// Restores a forest written by save(). Throws scwc::Error on malformed
+  /// input (see DecisionTree::load) and leaves the forest unchanged then.
   void load(std::istream& is);
   /// File-path convenience wrappers.
   void save_file(const std::string& path) const;
@@ -48,8 +60,7 @@ class RandomForest final : public Classifier {
 
  private:
   RandomForestConfig config_;
-  std::vector<DecisionTree> trees_;
-  std::size_t num_classes_ = 0;
+  ForestTable table_;
 };
 
 }  // namespace scwc::ml

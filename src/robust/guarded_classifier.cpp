@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <map>
 
 #include "obs/metrics.hpp"
@@ -90,35 +89,6 @@ GuardedPrediction GuardedClassifier::abstain(AbstainReason reason,
   return out;
 }
 
-namespace {
-
-/// Counts non-finite values / fully-missing steps / dead sensors of a
-/// steps×sensors window into `report`, then repairs it in place. Shared by
-/// the single and batched classify paths so both see identical windows.
-void account_and_impute(std::span<double> window, std::size_t steps,
-                        std::size_t sensors, const ImputationConfig& config,
-                        QualityReport& report) {
-  std::vector<std::size_t> finite_per_sensor(sensors, 0);
-  for (std::size_t t = 0; t < steps; ++t) {
-    std::size_t missing_here = 0;
-    for (std::size_t s = 0; s < sensors; ++s) {
-      if (std::isfinite(window[t * sensors + s])) {
-        ++finite_per_sensor[s];
-      } else {
-        ++missing_here;
-      }
-    }
-    report.missing_values += missing_here;
-    if (missing_here == sensors) ++report.missing_steps;
-  }
-  for (std::size_t s = 0; s < sensors; ++s) {
-    if (finite_per_sensor[s] == 0) ++report.dead_sensors;
-  }
-  impute_window(window, steps, sensors, config, report);
-}
-
-}  // namespace
-
 GuardedPrediction GuardedClassifier::classify(std::span<const double> window,
                                               std::size_t steps,
                                               std::size_t sensors) const {
@@ -135,9 +105,12 @@ GuardedPrediction GuardedClassifier::classify(std::span<const double> window,
   }
 
   try {
-    // 2. Finiteness accounting + repair through the robust ingestion path.
-    std::vector<double> repaired(window.begin(), window.end());
-    account_and_impute(repaired, steps, sensors, config_.imputation, report);
+    // 2. Finiteness accounting + repair through the robust ingestion path,
+    // on the one copy the model reads.
+    data::Tensor3 one(1, steps, sensors);
+    std::copy(window.begin(), window.end(), one.trial(0).begin());
+    count_missing(window, steps, sensors, report);
+    impute_window(one.trial(0), steps, sensors, config_.imputation, report);
 
     // 3. Quality gate: don't consult the model on garbage.
     if (!report.usable(config_.min_quality)) {
@@ -145,8 +118,6 @@ GuardedPrediction GuardedClassifier::classify(std::span<const double> window,
     }
 
     // 4. Featurise + predict on the repaired window.
-    data::Tensor3 one(1, steps, sensors);
-    std::copy(repaired.begin(), repaired.end(), one.trial(0).begin());
     const linalg::Matrix features = pipeline_.transform(one);
     const std::vector<int> predicted = model_.predict(features);
     if (predicted.size() != 1) {
@@ -196,18 +167,21 @@ std::vector<GuardedPrediction> GuardedClassifier::classify_batch(
   }
 
   // 2. Per-window accounting, repair and quality gating — identical to the
-  // single-window path. Survivors are packed densely for the model.
+  // single-window path. The batch is copied only when some window needs
+  // repair; a clean batch reaches the model as the caller passed it.
   std::vector<std::size_t> survivors;
   survivors.reserve(count);
-  data::Tensor3 repaired(count, steps, sensors);
+  data::Tensor3 repaired;
   for (std::size_t i = 0; i < count; ++i) {
     QualityReport& report = out[i].report;
     report.steps = steps;
     report.sensors = sensors;
-    const std::span<const double> src = windows.trial(i);
-    const std::span<double> dst = repaired.trial(i);
-    std::copy(src.begin(), src.end(), dst.begin());
-    account_and_impute(dst, steps, sensors, config_.imputation, report);
+    count_missing(windows.trial(i), steps, sensors, report);
+    if (report.missing_values > 0) {
+      if (repaired.trials() == 0) repaired = windows;
+      impute_window(repaired.trial(i), steps, sensors, config_.imputation,
+                    report);
+    }
     if (report.usable(config_.min_quality)) {
       survivors.push_back(i);
     } else {
@@ -215,18 +189,25 @@ std::vector<GuardedPrediction> GuardedClassifier::classify_batch(
     }
   }
   if (survivors.empty()) return out;
+  const data::Tensor3& source = repaired.trials() == 0 ? windows : repaired;
 
   try {
     // 3. One featurise + one predict for every survivor. Each window's
     // features depend only on its own values, so row r of the batch equals
-    // the features a batch-of-one would produce for that window.
-    data::Tensor3 packed(survivors.size(), steps, sensors);
-    for (std::size_t j = 0; j < survivors.size(); ++j) {
-      const std::span<const double> src = repaired.trial(survivors[j]);
-      std::copy(src.begin(), src.end(), packed.trial(j).begin());
+    // the features a batch-of-one would produce for that window. Survivors
+    // are packed densely only when some window abstained.
+    data::Tensor3 packed;
+    if (survivors.size() < count) {
+      packed = data::Tensor3(survivors.size(), steps, sensors);
+      for (std::size_t j = 0; j < survivors.size(); ++j) {
+        const std::span<const double> src = source.trial(survivors[j]);
+        std::copy(src.begin(), src.end(), packed.trial(j).begin());
+      }
     }
+    const data::Tensor3& model_input =
+        survivors.size() < count ? packed : source;
     const auto t0 = std::chrono::steady_clock::now();
-    const linalg::Matrix features = pipeline_.transform(packed);
+    const linalg::Matrix features = pipeline_.transform(model_input);
     const auto t1 = std::chrono::steady_clock::now();
     const std::vector<int> predicted = model_.predict(features);
     if (timings != nullptr) {

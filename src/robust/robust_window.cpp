@@ -124,23 +124,32 @@ QualityReport robust_extract_window(const telemetry::TimeSeries& series,
   std::fill(dest.begin() + static_cast<std::ptrdiff_t>(available * sensors),
             dest.end(), kNaN);
 
-  std::vector<std::size_t> finite_per_sensor(sensors, 0);
-  for (std::size_t t = 0; t < window_steps; ++t) {
+  count_missing(dest, window_steps, sensors, report);
+  return report;
+}
+
+void count_missing(std::span<const double> window, std::size_t steps,
+                   std::size_t sensors, QualityReport& report) {
+  std::size_t missing = 0;
+  for (std::size_t t = 0; t < steps; ++t) {
     std::size_t missing_here = 0;
     for (std::size_t s = 0; s < sensors; ++s) {
-      if (std::isfinite(dest[t * sensors + s])) {
-        ++finite_per_sensor[s];
-      } else {
-        ++missing_here;
-      }
+      if (!std::isfinite(window[t * sensors + s])) ++missing_here;
     }
-    report.missing_values += missing_here;
+    missing += missing_here;
     if (missing_here == sensors) ++report.missing_steps;
   }
+  report.missing_values += missing;
+  // A sensor is dead when none of its steps is finite, which needs at
+  // least one missing value (or no steps at all).
+  if (missing == 0 && steps > 0) return;
   for (std::size_t s = 0; s < sensors; ++s) {
-    if (finite_per_sensor[s] == 0) ++report.dead_sensors;
+    bool any_finite = false;
+    for (std::size_t t = 0; t < steps && !any_finite; ++t) {
+      any_finite = std::isfinite(window[t * sensors + s]);
+    }
+    if (!any_finite) ++report.dead_sensors;
   }
-  return report;
 }
 
 void impute_window(std::span<double> window, std::size_t steps,
@@ -148,17 +157,19 @@ void impute_window(std::span<double> window, std::size_t steps,
                    QualityReport& report) {
   SCWC_REQUIRE(window.size() == steps * sensors,
                "impute_window span/shape mismatch");
+  // Count first and list the finite steps only for columns that need
+  // repair, so a clean window costs no allocation.
+  std::vector<std::size_t> finite;
   for (std::size_t s = 0; s < sensors; ++s) {
-    std::vector<std::size_t> finite;
     std::size_t missing = 0;
     for (std::size_t t = 0; t < steps; ++t) {
-      if (std::isfinite(window[t * sensors + s])) {
-        finite.push_back(t);
-      } else {
-        ++missing;
-      }
+      if (!std::isfinite(window[t * sensors + s])) ++missing;
     }
     if (missing == 0) continue;  // untouched columns stay bit-for-bit
+    finite.clear();
+    for (std::size_t t = 0; t < steps; ++t) {
+      if (std::isfinite(window[t * sensors + s])) finite.push_back(t);
+    }
     repair_column(
         steps, finite, config.policy, prior_for(config, s),
         [&](std::size_t t) { return window[t * sensors + s]; },

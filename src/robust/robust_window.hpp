@@ -53,6 +53,11 @@ QualityReport robust_extract_window(const telemetry::TimeSeries& series,
                                     std::size_t window_steps,
                                     std::span<double> dest);
 
+/// Adds the non-finite values, fully-missing steps and dead sensors of a
+/// row-major steps×sensors window to `report`. Allocation-free.
+void count_missing(std::span<const double> window, std::size_t steps,
+                   std::size_t sensors, QualityReport& report);
+
 /// Repairs every non-finite value of a row-major steps×sensors window in
 /// place and adds the repair count to `report`. After the call the window
 /// contains only finite values. A window with no missing values is left

@@ -1,8 +1,13 @@
 // Tests for the CART decision tree and the random forest.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <sstream>
+
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "ml/decision_tree.hpp"
 #include "ml/metrics.hpp"
 #include "ml/random_forest.hpp"
@@ -231,6 +236,148 @@ TEST(RandomForest, ErrorsOnMisuse) {
   RandomForest zero(bad);
   std::vector<int> y{0, 1};
   EXPECT_THROW(zero.fit(x, y), Error);
+}
+
+
+// ---------------------------------------------------------------- parity
+//
+// The forest predicts from one compiled node table. The reference below is
+// the plain per-tree walker: every tree of the forest is read back from the
+// forest's own save() bytes with DecisionTree::load, and the trees'
+// predict_proba results are summed in tree order and scaled by 1/T. The
+// compiled path must reproduce that bit for bit.
+
+std::uint64_t read_u64(std::istream& is) {
+  std::uint64_t v = 0;
+  for (int i = 0; i < 8; ++i) {
+    v |= static_cast<std::uint64_t>(static_cast<unsigned char>(is.get()))
+         << (8 * i);
+  }
+  return v;
+}
+
+Matrix per_tree_reference(const RandomForest& forest, const Matrix& x) {
+  std::stringstream bytes;
+  forest.save(bytes);
+  (void)read_u64(bytes);  // magic
+  const std::uint64_t classes = read_u64(bytes);
+  const std::uint64_t trees = read_u64(bytes);
+  Matrix sum(x.rows(), classes);
+  for (std::uint64_t t = 0; t < trees; ++t) {
+    DecisionTree tree;
+    tree.load(bytes);
+    sum += tree.predict_proba(x);
+  }
+  sum *= 1.0 / static_cast<double>(trees);
+  return sum;
+}
+
+bool bit_equal(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(), a.rows() * a.cols() * sizeof(double)) ==
+             0;
+}
+
+Matrix cycled_rows(const Matrix& x, std::size_t n) {
+  Matrix out(n, x.cols());
+  for (std::size_t r = 0; r < n; ++r) {
+    const auto src = x.row(r % x.rows());
+    std::copy(src.begin(), src.end(), out.row(r).begin());
+  }
+  return out;
+}
+
+std::vector<int> argmax_rows(const Matrix& proba) {
+  std::vector<int> out(proba.rows());
+  for (std::size_t r = 0; r < proba.rows(); ++r) {
+    std::size_t best = 0;
+    for (std::size_t c = 1; c < proba.cols(); ++c) {
+      if (proba(r, c) > proba(r, best)) best = c;
+    }
+    out[r] = static_cast<int>(best);
+  }
+  return out;
+}
+
+void expect_parity_over_batch_sizes(const RandomForest& forest,
+                                    const Matrix& pool_rows) {
+  for (const std::size_t n : {1u, 7u, 8u, 63u, 64u, 65u, 1000u}) {
+    const Matrix x = cycled_rows(pool_rows, n);
+    const Matrix reference = per_tree_reference(forest, x);
+    const Matrix proba = forest.predict_proba(x);
+    EXPECT_TRUE(bit_equal(proba, reference)) << "batch " << n;
+    EXPECT_EQ(forest.predict(x), argmax_rows(reference)) << "batch " << n;
+  }
+}
+
+TEST(RandomForestParity, CompiledPredictEqualsPerTreeSumBitForBit) {
+  Matrix x;
+  std::vector<int> y;
+  make_blobs(60, 5, 7, 2.5, x, y, 41);
+  RandomForest forest({.n_estimators = 30});
+  forest.fit(x, y);
+  Matrix probe;
+  std::vector<int> unused;
+  make_blobs(40, 5, 7, 3.0, probe, unused, 42);
+  expect_parity_over_batch_sizes(forest, probe);
+}
+
+TEST(RandomForestParity, ImpureLeavesKeepParity) {
+  Matrix x;
+  std::vector<int> y;
+  make_blobs(60, 5, 7, 3.0, x, y, 43);
+  RandomForestConfig config;
+  config.n_estimators = 25;
+  config.tree.min_samples_leaf = 5;  // leaves hold mixed class fractions
+  RandomForest forest(config);
+  forest.fit(x, y);
+  Matrix probe;
+  std::vector<int> unused;
+  make_blobs(40, 5, 7, 3.0, probe, unused, 44);
+  // The fixture is only meaningful if some leaf is impure: then some row
+  // gets a fraction strictly between 0 and 1 from at least one tree.
+  const Matrix proba = forest.predict_proba(probe);
+  bool fractional = false;
+  for (const double p : proba.flat()) {
+    const double votes = p * 25.0;
+    fractional = fractional || std::abs(votes - std::round(votes)) > 1e-9;
+  }
+  EXPECT_TRUE(fractional);
+  expect_parity_over_batch_sizes(forest, probe);
+}
+
+TEST(RandomForestParity, SameResultInsideAndOutsideThePool) {
+  Matrix x;
+  std::vector<int> y;
+  make_blobs(50, 4, 6, 2.5, x, y, 45);
+  RandomForestConfig config;
+  config.n_estimators = 20;
+  config.tree.min_samples_leaf = 5;  // fractional sums are order-sensitive
+  RandomForest forest(config);
+  forest.fit(x, y);
+  Matrix probe;
+  std::vector<int> unused;
+  make_blobs(50, 4, 6, 3.0, probe, unused, 46);  // 200 rows: several tiles
+  const Matrix reference = per_tree_reference(forest, probe);
+  for (int repeat = 0; repeat < 50; ++repeat) {
+    const Matrix outside = forest.predict_proba(probe);
+    Matrix inside;
+    ThreadPool::global()
+        .submit([&] { inside = forest.predict_proba(probe); })
+        .get();
+    ASSERT_TRUE(bit_equal(outside, reference)) << "repeat " << repeat;
+    ASSERT_TRUE(bit_equal(inside, reference)) << "repeat " << repeat;
+  }
+}
+
+TEST(RandomForestParity, RejectsRowsNarrowerThanTheModel) {
+  Matrix x;
+  std::vector<int> y;
+  make_blobs(30, 3, 6, 1.0, x, y);
+  RandomForest forest({.n_estimators = 5});
+  forest.fit(x, y);
+  const Matrix narrow(4, 2);
+  EXPECT_THROW((void)forest.predict_proba(narrow), Error);
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 #
 # Runs, in order:
 #   release      configure + build + ctest for the release preset
+#   pool-stop-race ThreadPool destructor-vs-stop() test, 200 repeats under
+#                three busy loops
 #   serve-smoke  self-checking serving load test  (SCWC_SMOKE=1 bench)
 #   chaos-smoke  fault-injection sweep of the self-healing serve stack
 #   cluster-smoke sharded-serving bench: real worker fleet over loopback
@@ -64,6 +66,31 @@ release_gate() {
     ctest --test-dir build --output-on-failure -j "$jobs"
 }
 run_gate release release_gate
+
+# -- pool-stop-race --------------------------------------------------------
+# ThreadPool's destructor racing another thread's stop() only crashed under
+# CPU contention, so a plain ctest run passed it by luck. Repeat the test
+# 200 times next to three busy loops that compete for the cores.
+pool_stop_race_gate() {
+  bin=build/tests/test_concurrency_stress
+  if [ ! -x "$bin" ]; then
+    echo "check_all.sh: $bin missing (release gate failed?)" >&2
+    return 1
+  fi
+  busy=""
+  for _ in 1 2 3; do
+    sh -c 'while :; do :; done' &
+    busy="$busy $!"
+  done
+  "$bin" --gtest_filter='ConcurrencyStressTest.DestructorRacesExternalStop' \
+    --gtest_repeat=200 --gtest_brief=1
+  status=$?
+  # shellcheck disable=SC2086
+  kill $busy 2>/dev/null
+  wait 2>/dev/null
+  return "$status"
+}
+run_gate pool-stop-race pool_stop_race_gate
 
 # -- serve-smoke -----------------------------------------------------------
 # Low-rate run of the serving load test; the bench fails its own exit code
