@@ -336,8 +336,8 @@ void ClassificationService::run_batch(std::vector<BatchRequest>&& batch) {
     return;
   }
   if (route.bundle == nullptr) {
-    for (BatchRequest& request : batch) shed(request, RejectReason::kNoModel);
     if (route.probe) chain_->on_probe_outcome(false, now);
+    for (BatchRequest& request : batch) shed(request, RejectReason::kNoModel);
     return;
   }
 
@@ -352,11 +352,11 @@ void ClassificationService::run_batch(std::vector<BatchRequest>&& batch) {
     // Chaos dispatch hook: may delay (sleeps the flusher — exactly the
     // stalled-dispatch failure mode) or drop the batch outright.
     if (config_.chaos->on_batch_dispatch() == BatchFate::kDrop) {
-      for (BatchRequest& request : batch) {
-        shed(request, RejectReason::kInternal);
-      }
       if (route.probe) {
         chain_->on_probe_outcome(false, std::chrono::steady_clock::now());
+      }
+      for (BatchRequest& request : batch) {
+        shed(request, RejectReason::kInternal);
       }
       return;
     }
@@ -386,10 +386,10 @@ void ClassificationService::run_batch(std::vector<BatchRequest>&& batch) {
       --inflight_batches_;
       inflight_cv_.notify_all();
     }
-    for (BatchRequest& request : *shared) shed(request, reason);
     if (route.probe) {
       chain_->on_probe_outcome(false, std::chrono::steady_clock::now());
     }
+    for (BatchRequest& request : *shared) shed(request, reason);
   }
 }
 
@@ -428,6 +428,9 @@ void ClassificationService::execute_batch(
       packed_out = bundle->guard().classify_batch(windows, &batch_timings);
     }
 
+    // A probe's answers are held until its outcome is recorded: a client
+    // that holds the answer then sees the breaker state the probe produced.
+    std::vector<std::pair<BatchRequest*, ServeResult>> held;
     std::size_t next_packed = 0;
     for (std::size_t i = 0; i < batch.size(); ++i) {
       BatchRequest& request = batch[i];
@@ -477,7 +480,11 @@ void ClassificationService::execute_batch(
             result.prediction.reason == robust::AbstainReason::kModelError);
       }
       note_verdict(request, result, done);
-      request.promise.set_value(std::move(result));
+      if (route.probe) {
+        held.emplace_back(&request, std::move(result));
+      } else {
+        request.promise.set_value(std::move(result));
+      }
     }
     const auto exec_s = seconds_between(exec_start,
                                         std::chrono::steady_clock::now());
@@ -488,20 +495,23 @@ void ClassificationService::execute_batch(
       const bool healthy =
           model_errors == 0 && exec_s <= config_.health.max_p99_s;
       chain_->on_probe_outcome(healthy, std::chrono::steady_clock::now());
+      for (auto& [request, result] : held) {
+        request->promise.set_value(std::move(result));
+      }
     }
   } catch (...) {
     // Defensive net: the guard never throws, but if anything here does
     // (bad_alloc, a broken custom Classifier), no promise may be left
     // unresolved — that future would hang a client forever.
+    if (route.probe) {
+      chain_->on_probe_outcome(false, std::chrono::steady_clock::now());
+    }
     for (BatchRequest& request : batch) {
       try {
         shed(request, RejectReason::kInternal);
       } catch (const std::future_error&) {
         // already resolved before the throw — exactly what we want
       }
-    }
-    if (route.probe) {
-      chain_->on_probe_outcome(false, std::chrono::steady_clock::now());
     }
     SCWC_LOG_ERROR("serve batch execution failed; shed with kInternal");
   }
