@@ -1,6 +1,7 @@
 // M1 — google-benchmark micro-benchmarks for the heavy kernels backing the
 // reproduction: GEMM, covariance reduction, PCA fit, forest fit and predict,
-// SMO SVM, boosted trees, LSTM step and telemetry synthesis.
+// SMO SVM, boosted trees, LSTM step, telemetry synthesis and the cluster's
+// SCWCWIRE codec.
 #include <benchmark/benchmark.h>
 
 #include "common/rng.hpp"
@@ -13,6 +14,7 @@
 #include "ml/gbt.hpp"
 #include "ml/random_forest.hpp"
 #include "ml/svm.hpp"
+#include "net/wire.hpp"
 #include "nn/lstm.hpp"
 #include "preprocess/covariance_features.hpp"
 #include "preprocess/pca.hpp"
@@ -346,5 +348,54 @@ void BM_ObsTracerRecord(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ObsTracerRecord);
+
+// One 60×7 serving window as the router sends it: a v2 submit frame.
+net::SubmitWindowFrame wire_submit_window() {
+  net::SubmitWindowFrame f;
+  f.request_id = 42;
+  f.job_id = 17;
+  f.deadline_ns = 20'000'000;
+  f.steps = 60;
+  f.sensors = 7;
+  Rng rng(5);
+  f.values.resize(f.steps * f.sensors);
+  for (double& v : f.values) v = rng.normal();
+  f.trace_id = 0xabcdefULL;
+  f.trace_sampled = true;
+  return f;
+}
+
+// Router side of every cluster request: payload encode + frame (with CRC).
+void BM_WireEncodeSubmit(benchmark::State& state) {
+  const net::SubmitWindowFrame f = wire_submit_window();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(net::encode_frame(
+        net::FrameType::kSubmitWindow, net::encode_submit_window(f)));
+  }
+}
+BENCHMARK(BM_WireEncodeSubmit);
+
+// Worker side: frame check (CRC) + payload decode.
+void BM_WireDecodeSubmit(benchmark::State& state) {
+  const std::string bytes = net::encode_frame(
+      net::FrameType::kSubmitWindow,
+      net::encode_submit_window(wire_submit_window()));
+  for (auto _ : state) {
+    const net::Frame frame = net::decode_frame(bytes);
+    benchmark::DoNotOptimize(
+        net::decode_submit_window(frame.payload, frame.version));
+  }
+}
+BENCHMARK(BM_WireDecodeSubmit);
+
+void BM_Crc32(benchmark::State& state) {
+  std::string bytes(static_cast<std::size_t>(state.range(0)), '\0');
+  Rng rng(9);
+  for (char& c : bytes) c = static_cast<char>(rng.next_u64() & 0xffU);
+  for (auto _ : state) benchmark::DoNotOptimize(net::crc32(bytes));
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_Crc32)->Arg(3424);
 
 }  // namespace

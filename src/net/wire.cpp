@@ -3,6 +3,7 @@
 #include <array>
 #include <bit>
 #include <cmath>
+#include <cstring>
 
 #include "common/error.hpp"
 
@@ -12,9 +13,18 @@ namespace {
 
 // ------------------------------------------------------------- primitives
 
+// On little-endian hosts the wire layout IS the in-memory layout, so
+// scalars and double arrays move with one memcpy; the byte loops remain
+// as the portable big-endian path and produce the same bytes.
+constexpr bool kNativeLittleEndian = std::endian::native == std::endian::little;
+
 /// Append-only little-endian encoder.
 class Writer {
  public:
+  /// `reserve` is a size hint: the exact encoded size where the caller
+  /// knows it, so a large payload is built with a single allocation.
+  explicit Writer(std::size_t reserve = 0) { buf_.reserve(reserve); }
+
   void u8(std::uint8_t v) { buf_ += static_cast<char>(v); }
   void u16(std::uint16_t v) { raw(v); }
   void u32(std::uint32_t v) { raw(v); }
@@ -34,7 +44,12 @@ class Writer {
 
   void f64_span(std::span<const double> values) {
     u32(static_cast<std::uint32_t>(values.size()));
-    for (const double v : values) f64(v);
+    if constexpr (kNativeLittleEndian) {
+      buf_.append(reinterpret_cast<const char*>(values.data()),
+                  values.size_bytes());
+    } else {
+      for (const double v : values) f64(v);
+    }
   }
 
   [[nodiscard]] std::string take() { return std::move(buf_); }
@@ -42,8 +57,12 @@ class Writer {
  private:
   template <typename T>
   void raw(T v) {
-    for (std::size_t i = 0; i < sizeof(T); ++i) {
-      buf_ += static_cast<char>((v >> (8 * i)) & 0xffU);
+    if constexpr (kNativeLittleEndian) {
+      buf_.append(reinterpret_cast<const char*>(&v), sizeof(T));
+    } else {
+      for (std::size_t i = 0; i < sizeof(T); ++i) {
+        buf_ += static_cast<char>((v >> (8 * i)) & 0xffU);
+      }
     }
   }
 
@@ -80,7 +99,12 @@ class Reader {
     SCWC_REQUIRE(remaining() >= static_cast<std::size_t>(n) * 8,
                  "wire decode: truncated value array");
     std::vector<double> out(n);
-    for (double& v : out) v = f64();
+    if constexpr (kNativeLittleEndian) {
+      const std::string_view s = take(out.size() * sizeof(double));
+      std::memcpy(out.data(), s.data(), s.size());
+    } else {
+      for (double& v : out) v = f64();
+    }
     return out;
   }
 
@@ -106,8 +130,12 @@ class Reader {
   T raw() {
     const std::string_view s = take(sizeof(T));
     T v = 0;
-    for (std::size_t i = 0; i < sizeof(T); ++i) {
-      v |= static_cast<T>(static_cast<unsigned char>(s[i])) << (8 * i);
+    if constexpr (kNativeLittleEndian) {
+      std::memcpy(&v, s.data(), sizeof(T));
+    } else {
+      for (std::size_t i = 0; i < sizeof(T); ++i) {
+        v |= static_cast<T>(static_cast<unsigned char>(s[i])) << (8 * i);
+      }
     }
     return v;
   }
@@ -116,16 +144,37 @@ class Reader {
   std::size_t pos_ = 0;
 };
 
-std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
+/// Slice-by-8 tables of the reflected IEEE polynomial: table[0] is the
+/// classic bytewise table, table[k][b] advances table[k-1][b] by one more
+/// zero byte, so eight input bytes fold into the CRC with eight lookups.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+constexpr CrcTables make_crc_tables() {
+  CrcTables tables{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1U) != 0 ? 0xEDB88320U ^ (c >> 1) : c >> 1;
     }
-    table[i] = c;
+    tables[0][i] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < tables.size(); ++k) {
+    for (std::size_t i = 0; i < 256; ++i) {
+      const std::uint32_t prev = tables[k - 1][i];
+      tables[k][i] = (prev >> 8) ^ tables[0][prev & 0xffU];
+    }
+  }
+  return tables;
+}
+
+constexpr CrcTables kCrcTables = make_crc_tables();
+
+/// Little-endian 32-bit load; compilers turn it into one load on LE hosts.
+std::uint32_t load_le32(const unsigned char* p) noexcept {
+  return static_cast<std::uint32_t>(p[0]) |
+         static_cast<std::uint32_t>(p[1]) << 8 |
+         static_cast<std::uint32_t>(p[2]) << 16 |
+         static_cast<std::uint32_t>(p[3]) << 24;
 }
 
 bool known_frame_type(std::uint16_t t) noexcept {
@@ -163,11 +212,18 @@ const char* frame_type_name(FrameType type) noexcept {
 }
 
 std::uint32_t crc32(std::string_view data) noexcept {
-  static const std::array<std::uint32_t, 256> table = make_crc_table();
+  const auto& t = kCrcTables;
+  const auto* p = reinterpret_cast<const unsigned char*>(data.data());
+  std::size_t n = data.size();
   std::uint32_t c = 0xFFFFFFFFU;
-  for (const char ch : data) {
-    c = table[(c ^ static_cast<unsigned char>(ch)) & 0xffU] ^ (c >> 8);
+  for (; n >= 8; p += 8, n -= 8) {
+    const std::uint32_t lo = load_le32(p) ^ c;
+    const std::uint32_t hi = load_le32(p + 4);
+    c = t[7][lo & 0xffU] ^ t[6][(lo >> 8) & 0xffU] ^
+        t[5][(lo >> 16) & 0xffU] ^ t[4][lo >> 24] ^ t[3][hi & 0xffU] ^
+        t[2][(hi >> 8) & 0xffU] ^ t[1][(hi >> 16) & 0xffU] ^ t[0][hi >> 24];
   }
+  for (; n > 0; ++p, --n) c = t[0][(c ^ *p) & 0xffU] ^ (c >> 8);
   return c ^ 0xFFFFFFFFU;
 }
 
@@ -177,7 +233,7 @@ std::string encode_frame(FrameType type, std::string_view payload,
                "wire encode: payload exceeds kMaxPayloadBytes");
   SCWC_REQUIRE(supported_version(version),
                "wire encode: unsupported protocol version");
-  Writer w;
+  Writer w(kHeaderBytes + payload.size());
   w.u64(kWireMagic);
   w.u16(version);
   w.u16(static_cast<std::uint16_t>(type));
@@ -255,7 +311,8 @@ std::string encode_submit_window(const SubmitWindowFrame& f,
                "wire encode: unsupported protocol version");
   SCWC_REQUIRE(f.values.size() <= kMaxWindowValues,
                "wire encode: window exceeds kMaxWindowValues");
-  Writer w;
+  // request, job, deadline, steps, sensors, value count, values, v2 trace.
+  Writer w(8 + 8 + 8 + 4 + 4 + 4 + f.values.size() * sizeof(double) + 8 + 1);
   w.u64(f.request_id);
   w.i64(f.job_id);
   w.u64(f.deadline_ns);
@@ -322,7 +379,10 @@ TelemetryRowFrame decode_telemetry_row(std::string_view payload) {
 std::string encode_verdict(const VerdictFrame& f, std::uint16_t version) {
   SCWC_REQUIRE(supported_version(version),
                "wire encode: unsupported protocol version");
-  Writer w;
+  // Ids, five flag bytes, label + batch, two doubles, two counts, the
+  // length-prefixed version string and the v2 worker phases.
+  Writer w(3 * 8 + 5 + 2 * 4 + 2 * 8 + 2 * 4 + 4 + f.model_version.size() +
+           3 * 8);
   w.u64(f.request_id);
   w.u64(f.trace_id);
   w.i64(f.job_id);

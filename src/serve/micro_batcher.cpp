@@ -19,6 +19,7 @@ MicroBatcher::MicroBatcher(MicroBatcherConfig config, BatchRunner runner,
   SCWC_REQUIRE(static_cast<bool>(runner_),
                "MicroBatcher: a batch runner is required");
   auto& reg = obs::MetricsRegistry::global();
+  obs_flush_idle_ = reg.counter("scwc_serve_batch_flush_idle_total");
   obs_flush_size_ = reg.counter("scwc_serve_batch_flush_size_total");
   obs_flush_deadline_ = reg.counter("scwc_serve_batch_flush_deadline_total");
   obs_queue_depth_ = reg.gauge("scwc_serve_batch_queue_depth");
@@ -75,6 +76,20 @@ std::chrono::steady_clock::time_point MicroBatcher::min_deadline_locked()
   return min;
 }
 
+void BatchToken::release() noexcept {
+  if (owner_ != nullptr) std::exchange(owner_, nullptr)->batch_done();
+}
+
+void MicroBatcher::batch_done() noexcept {
+  const scwc::LockGuard lock(mutex_);
+  // Only the last finishing batch changes what a waiter can do: the
+  // flusher's idle rule and stop() both wait for zero. The notify happens
+  // UNDER mutex_: stop()'s waiter re-acquires it before returning, so it
+  // cannot see zero and let the owner destroy cv_ while notify_all() still
+  // runs on this thread.
+  if (--inflight_ == 0) cv_.notify_all();
+}
+
 void MicroBatcher::flusher_loop() {
   const auto max_delay = std::chrono::duration_cast<
       std::chrono::steady_clock::duration>(
@@ -84,38 +99,44 @@ void MicroBatcher::flusher_loop() {
     // Explicit wait loops (not the predicate overloads): clang's analysis
     // does not look inside predicate lambdas, this form it checks.
     while (!stop_ && pending_.empty()) cv_.wait(mutex_);
-    if (pending_.empty()) {
-      if (stop_) return;
-      continue;
-    }
-    // Wait out the remaining deadline of the OLDEST request unless the
-    // batch fills (or stop) first. wait_until re-checks under the lock, so
-    // a submit racing the deadline either makes this batch or the next.
-    // The wait is also bounded by the earliest per-request deadline so an
-    // expired request is shed promptly instead of riding a late batch.
+    if (pending_.empty()) return;  // stop_ with nothing left to drain
+    // Cut at once when idle or full; while a batch executes, wait out the
+    // remaining delay of the OLDEST request unless the batch fills, the
+    // executing batch finishes, or stop comes first. wait_until re-checks
+    // under the lock, so a submit racing the cut either makes this batch
+    // or the next. The wait is also bounded by the earliest per-request
+    // deadline so an expired request is shed promptly instead of riding a
+    // late batch.
     const auto flush_at = std::min(pending_.front().enqueued + max_delay,
                                    min_deadline_locked());
-    bool filled = stop_ || pending_.size() >= config_.max_batch;
-    while (!filled) {
-      const bool timed_out =
-          cv_.wait_until(mutex_, flush_at) == std::cv_status::timeout;
-      filled = stop_ || pending_.size() >= config_.max_batch;
-      if (timed_out) break;
+    bool timed_out = false;
+    while (!stop_ && !timed_out && inflight_ != 0 &&
+           pending_.size() < config_.max_batch) {
+      timed_out = cv_.wait_until(mutex_, flush_at) == std::cv_status::timeout;
     }
-    if (filled && !stop_) {
-      obs_flush_size_.inc();
-    } else if (!stop_) {
-      obs_flush_deadline_.inc();
+    if (!stop_) {
+      if (pending_.size() >= config_.max_batch) {
+        obs_flush_size_.inc();
+      } else if (inflight_ == 0) {
+        obs_flush_idle_.inc();
+      } else {
+        obs_flush_deadline_.inc();
+      }
     }
     std::vector<BatchRequest> expired;
     std::vector<BatchRequest> batch =
         cut_batch_locked(std::chrono::steady_clock::now(), expired);
+    BatchToken done;
+    if (!batch.empty()) {
+      ++inflight_;
+      done = BatchToken(this);
+    }
     lock.unlock();
     for (BatchRequest& request : expired) {
       expired_handler_(std::move(request));
     }
     if (config_.chaos != nullptr) config_.chaos->on_flusher_cut();
-    if (!batch.empty()) runner_(std::move(batch));
+    if (!batch.empty()) runner_(std::move(batch), std::move(done));
     lock.lock();
     if (stop_ && pending_.empty()) return;
   }
@@ -129,8 +150,13 @@ void MicroBatcher::stop() {
   cv_.notify_all();
   // Serialise the join so concurrent stop() calls (destructor racing an
   // explicit stop) both return only after the flusher exited.
-  const scwc::LockGuard join_lock(join_mutex_);
-  if (flusher_.joinable()) flusher_.join();
+  {
+    const scwc::LockGuard join_lock(join_mutex_);
+    if (flusher_.joinable()) flusher_.join();
+  }
+  // Wait out batches the runner handed elsewhere (the service's pool).
+  const scwc::LockGuard lock(mutex_);
+  while (inflight_ != 0) cv_.wait(mutex_);
 }
 
 }  // namespace scwc::serve

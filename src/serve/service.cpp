@@ -60,7 +60,9 @@ ClassificationService::ClassificationService(ModelRegistry& registry,
   batcher_config.chaos = config_.chaos;
   batcher_ = std::make_unique<MicroBatcher>(
       batcher_config,
-      [this](std::vector<BatchRequest>&& batch) { run_batch(std::move(batch)); },
+      [this](std::vector<BatchRequest>&& batch, BatchToken done) {
+        run_batch(std::move(batch), std::move(done));
+      },
       [this](BatchRequest&& request) {
         // Deadline passed while the request sat in the batcher queue.
         shed(request, RejectReason::kDeadlineExceeded);
@@ -312,7 +314,8 @@ void ClassificationService::answer_degraded(
   }
 }
 
-void ClassificationService::run_batch(std::vector<BatchRequest>&& batch) {
+void ClassificationService::run_batch(std::vector<BatchRequest>&& batch,
+                                      BatchToken done) {
   if (batch.empty()) return;
   const obs::TraceSpan span("serve.flush");
   const auto now = std::chrono::steady_clock::now();
@@ -362,34 +365,25 @@ void ClassificationService::run_batch(std::vector<BatchRequest>&& batch) {
     }
   }
 
-  // BatchRequest is move-only (promise) but std::function requires a
-  // copyable callable — hand the batch over through a shared_ptr.
-  auto shared =
-      std::make_shared<std::vector<BatchRequest>>(std::move(batch));
-  {
-    const scwc::LockGuard lock(inflight_mutex_);
-    ++inflight_batches_;
-  }
-  // The notify happens UNDER inflight_mutex_: stop()'s waiter re-acquires
-  // the mutex before returning, so it cannot observe inflight == 0 and let
-  // the destructor tear down inflight_cv_ while notify_all() is still
-  // executing on this thread (cv-destruction race TSan catches otherwise).
+  // BatchRequest and BatchToken are move-only but std::function requires a
+  // copyable callable — hand both over through a shared_ptr. The task takes
+  // the token out first, so the batch reports done when the task returns;
+  // when dispatch refuses, the token dies with `shared` on return below.
+  struct Dispatched {
+    std::vector<BatchRequest> batch;
+    BatchToken done;
+  };
+  auto shared = std::make_shared<Dispatched>(
+      Dispatched{std::move(batch), std::move(done)});
   const RejectReason reason = admission_.dispatch([this, route, shared, now] {
-    execute_batch(route, *shared, now);
-    const scwc::LockGuard lock(inflight_mutex_);
-    --inflight_batches_;
-    inflight_cv_.notify_all();
+    const BatchToken executing = std::move(shared->done);
+    execute_batch(route, shared->batch, now);
   });
   if (reason != RejectReason::kNone) {
-    {
-      const scwc::LockGuard lock(inflight_mutex_);
-      --inflight_batches_;
-      inflight_cv_.notify_all();
-    }
     if (route.probe) {
       chain_->on_probe_outcome(false, std::chrono::steady_clock::now());
     }
-    for (BatchRequest& request : *shared) shed(request, reason);
+    for (BatchRequest& request : shared->batch) shed(request, reason);
   }
 }
 
@@ -520,14 +514,11 @@ void ClassificationService::execute_batch(
 void ClassificationService::stop() {
   admission_.close();
   // Flushes every queued batch through run_batch (inline-drain path above),
-  // then joins the flusher. Requests whose deadline expired in the queue
-  // are resolved by the batcher's expired handler during the drain; every
-  // other queued request is answered inline — nothing is left pending.
+  // joins the flusher, then waits out batches already handed to the pool.
+  // Requests whose deadline expired in the queue are resolved by the
+  // batcher's expired handler during the drain; every other queued request
+  // is answered inline — nothing is left pending.
   batcher_->stop();
-  // Wait out batches already handed to the pool. Explicit wait loop: the
-  // analysis checks this form (it cannot see into predicate lambdas).
-  const scwc::LockGuard lock(inflight_mutex_);
-  while (inflight_batches_ != 0) inflight_cv_.wait(inflight_mutex_);
 }
 
 }  // namespace scwc::serve

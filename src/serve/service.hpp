@@ -3,17 +3,19 @@
 // Wires the serve components into one request path:
 //
 //   ingest/submit → AdmissionController (bounded queue, typed shedding)
-//                 → MicroBatcher (deadline/size flush)
+//                 → MicroBatcher (idle/size/delay flush)
 //                 → ThreadPool task (one GuardedClassifier::classify_batch
 //                   on the ModelRegistry bundle captured at batch cut)
 //                 → per-request promise fulfilment
 //
 // Threading model: callers submit from any thread; the batcher's flusher
 // thread cuts batches and hands them to the shared ThreadPool, so flushing
-// never blocks on inference and inference parallelises across batches. The
-// bundle is captured ONCE per batch, making hot-swap atomic from the
-// request's point of view: every window of a batch is answered by the same
-// model version, and versions change only between batches.
+// never blocks on inference. A partial batch leaves at once only while no
+// batch executes; full batches overlap, so under load inference
+// parallelises across batches. The bundle is captured ONCE per batch,
+// making hot-swap atomic from the request's point of view: every window of
+// a batch is answered by the same model version, and versions change only
+// between batches.
 #pragma once
 
 #include <cstdint>
@@ -22,8 +24,6 @@
 #include <span>
 #include <vector>
 
-#include "common/mutex.hpp"
-#include "common/thread_annotations.hpp"
 #include "common/thread_pool.hpp"
 #include "obs/request_trace.hpp"
 #include "serve/admission.hpp"
@@ -158,8 +158,9 @@ class ClassificationService {
   /// the fallback chain (or straight to the current bundle) and dispatches
   /// it to the pool. During drain (after stop() closed admission) the batch
   /// executes inline instead, so queued requests still get answered rather
-  /// than shed.
-  void run_batch(std::vector<BatchRequest>&& batch);
+  /// than shed. `done` travels with the batch to the pool task; every path
+  /// that answers the batch here releases it on return.
+  void run_batch(std::vector<BatchRequest>&& batch, BatchToken done);
   /// Reads the monitor and reacts: bundle faults trigger an automatic
   /// registry rollback, cluster-level SLO violations trip the breaker.
   void evaluate_health(std::chrono::steady_clock::time_point now);
@@ -191,11 +192,6 @@ class ClassificationService {
   // after the members it uses and destroyed (stopping the flusher) first.
   // Set once in the constructor; the batcher locks internally.
   std::unique_ptr<MicroBatcher> batcher_;  // scwc-lint: allow(guarded-field-coverage)
-
-  // Batches handed to the pool but not finished; stop() waits for zero.
-  Mutex inflight_mutex_{"serve.inflight"};
-  CondVar inflight_cv_;
-  std::size_t inflight_batches_ SCWC_GUARDED_BY(inflight_mutex_) = 0;
 
   obs::CounterHandle obs_requests_;
   obs::HistogramHandle obs_request_seconds_;

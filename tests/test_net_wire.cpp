@@ -7,6 +7,7 @@
 // unbounded memory.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <functional>
@@ -397,6 +398,140 @@ TEST(WireCodec, FrameTypeNamesAreStable) {
   EXPECT_STREQ(frame_type_name(FrameType::kSubmitWindow), "submit_window");
   EXPECT_STREQ(frame_type_name(FrameType::kSwapCommit), "swap_commit");
   EXPECT_STREQ(frame_type_name(FrameType::kError), "error");
+}
+
+// ----------------------------------------------------------- byte identity
+//
+// The codec's byte layout is a protocol contract with peers already in the
+// field: a faster encoder must produce the very same bytes. The CRC is
+// pinned by the standard check value and by a bitwise reference, and whole
+// frames by FNV-1a fingerprints recorded from the byte-at-a-time codec.
+
+std::uint64_t fnv1a64(std::string_view bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+/// Bit-at-a-time CRC-32 (IEEE 802.3, reflected): no tables, no slicing.
+std::uint32_t crc32_bitwise(std::string_view data) {
+  std::uint32_t c = 0xFFFFFFFFU;
+  for (const char ch : data) {
+    c ^= static_cast<unsigned char>(ch);
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1U) != 0 ? 0xEDB88320U ^ (c >> 1) : c >> 1;
+    }
+  }
+  return c ^ 0xFFFFFFFFU;
+}
+
+/// splitmix64 stream: deterministic bytes and double bit patterns that
+/// cover NaN payloads, infinities, subnormals and negative zero.
+struct SplitMix {
+  std::uint64_t state;
+  std::uint64_t next() {
+    std::uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return z ^ (z >> 31);
+  }
+};
+
+/// A full 60×7 serving window (3,360 value bytes) of mixed bit patterns.
+SubmitWindowFrame fingerprint_submit() {
+  SubmitWindowFrame f;
+  f.request_id = 0x0123456789abcdefULL;
+  f.job_id = -7;
+  f.deadline_ns = 20'000'000;
+  f.steps = 60;
+  f.sensors = 7;
+  SplitMix rng{11};
+  f.values.resize(420);
+  for (std::size_t i = 0; i < f.values.size(); ++i) {
+    f.values[i] = i % 3 == 0 ? std::bit_cast<double>(rng.next())
+                             : static_cast<double>(i) * 0.37 - 50.0;
+  }
+  f.values[1] = -0.0;
+  f.values[2] = std::numeric_limits<double>::quiet_NaN();
+  f.values[4] = std::numeric_limits<double>::infinity();
+  f.values[5] = std::numeric_limits<double>::denorm_min();
+  f.trace_id = 0xfeedfacecafebeefULL;
+  f.trace_sampled = true;
+  return f;
+}
+
+TEST(WireBytes, Crc32KnownAnswer) {
+  EXPECT_EQ(crc32("123456789"), 0xCBF43926U);
+  EXPECT_EQ(crc32(""), 0U);
+  EXPECT_EQ(crc32(std::string_view("\0", 1)), 0xD202EF8DU);
+}
+
+TEST(WireBytes, Crc32MatchesBitwiseReferenceAtEveryLength) {
+  SplitMix rng{5};
+  std::string buf(4096 + 8, '\0');
+  for (char& c : buf) c = static_cast<char>(rng.next() & 0xff);
+  // Every length 0..4096 from an aligned start, plus odd start offsets so
+  // the 8-byte stride meets every alignment and every tail length.
+  for (std::size_t len = 0; len <= 4096; ++len) {
+    const std::string_view s(buf.data(), len);
+    ASSERT_EQ(crc32(s), crc32_bitwise(s)) << "length " << len;
+  }
+  for (std::size_t start = 1; start < 8; ++start) {
+    for (std::size_t len = 0; len <= 64; ++len) {
+      const std::string_view s(buf.data() + start, len);
+      ASSERT_EQ(crc32(s), crc32_bitwise(s))
+          << "start " << start << " length " << len;
+    }
+  }
+}
+
+TEST(WireBytes, EncodedFramesMatchRecordedFingerprints) {
+  const SubmitWindowFrame submit = fingerprint_submit();
+  const std::string submit_v1 = encode_frame(
+      FrameType::kSubmitWindow, encode_submit_window(submit, 1), 1);
+  const std::string submit_v2 = encode_frame(
+      FrameType::kSubmitWindow, encode_submit_window(submit, 2), 2);
+  EXPECT_EQ(submit_v1.size(), kHeaderBytes + 36 + 8 * 420);
+  EXPECT_EQ(submit_v2.size(), submit_v1.size() + 9);
+  EXPECT_EQ(fnv1a64(submit_v1), 0x959749a54c83ad7bULL);
+  EXPECT_EQ(fnv1a64(submit_v2), 0xf72c660cebe6509eULL);
+
+  VerdictFrame verdict;
+  verdict.request_id = 0x1122334455667788ULL;
+  verdict.trace_id = 0xfeedULL;
+  verdict.job_id = -3;
+  verdict.accepted = true;
+  verdict.reject_reason = 0;
+  verdict.degrade_level = 1;
+  verdict.abstained = true;
+  verdict.abstain_reason = 2;
+  verdict.label = -1;
+  verdict.batch_size = 17;
+  verdict.quality = 0.875;
+  verdict.worker_latency_s = 1.25e-4;
+  verdict.missing_values = 4;
+  verdict.repaired_values = 3;
+  verdict.model_version = "rf-cov-v2";
+  verdict.worker_queue_s = 3.6e-5;
+  verdict.worker_transform_s = 2.1e-6;
+  verdict.worker_predict_s = 4.8e-6;
+  EXPECT_EQ(fnv1a64(encode_frame(FrameType::kVerdict,
+                                 encode_verdict(verdict, 1), 1)),
+            0x408c506582fa3ed3ULL);
+  EXPECT_EQ(fnv1a64(encode_frame(FrameType::kVerdict,
+                                 encode_verdict(verdict, 2), 2)),
+            0xace8827906b4bce3ULL);
+
+  HelloFrame hello;
+  hello.shard_id = 3;
+  hello.window_steps = 60;
+  hello.sensors = 7;
+  hello.model_version = "rf-cov-v1";
+  EXPECT_EQ(fnv1a64(encode_frame(FrameType::kHello, encode_hello(hello))),
+            0xd89c32ca65dbe277ULL);
 }
 
 // ---------------------------------------------------------------- fuzzing

@@ -4,13 +4,16 @@
 // batched == single-request invariant of the ClassificationService.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstring>
 #include <future>
 #include <limits>
 #include <memory>
+#include <mutex>
 #include <sstream>
+#include <thread>
 #include <vector>
 
 #include "common/error.hpp"
@@ -18,6 +21,7 @@
 #include "common/thread_pool.hpp"
 #include "data/window.hpp"
 #include "serve/bundle_io.hpp"
+#include "serve/chaos.hpp"
 #include "serve/service.hpp"
 
 namespace scwc {
@@ -194,6 +198,19 @@ TEST(WindowAssembler, RejectsMisalignedBlocksAndZeroGeometry) {
 
 // --------------------------------------------------------------- MicroBatcher
 
+/// Resolves every request of a batch with an empty result.
+void answer_all(std::vector<serve::BatchRequest>& batch) {
+  for (auto& r : batch) r.promise.set_value(serve::ServeResult{});
+}
+
+/// Submits one empty request and returns its future.
+std::future<serve::ServeResult> submit_empty(serve::MicroBatcher& batcher) {
+  serve::BatchRequest request;
+  std::future<serve::ServeResult> f = request.promise.get_future();
+  EXPECT_TRUE(batcher.submit(std::move(request)));
+  return f;
+}
+
 TEST(MicroBatcher, SizeBoundFlushesFullBatchImmediately) {
   std::mutex mu;
   std::vector<std::size_t> batch_sizes;
@@ -201,12 +218,12 @@ TEST(MicroBatcher, SizeBoundFlushesFullBatchImmediately) {
   config.max_batch = 4;
   config.max_delay_s = 60.0;  // deadline effectively off
   serve::MicroBatcher batcher(
-      config, [&](std::vector<serve::BatchRequest>&& batch) {
+      config, [&](std::vector<serve::BatchRequest>&& batch, serve::BatchToken) {
         {
           const std::lock_guard<std::mutex> lock(mu);
           batch_sizes.push_back(batch.size());
         }
-        for (auto& r : batch) r.promise.set_value(serve::ServeResult{});
+        answer_all(batch);
       });
   std::vector<std::future<serve::ServeResult>> futures;
   for (int i = 0; i < 8; ++i) {
@@ -231,17 +248,32 @@ TEST(MicroBatcher, DeadlineFlushesPartialBatch) {
   serve::MicroBatcherConfig config;
   config.max_batch = 1000;     // size bound never reached
   config.max_delay_s = 0.002;  // 2 ms deadline does the flushing
+  // The first batch keeps its token, so it stays executing and the idle
+  // rule cannot cut the second request: only the delay bound can.
+  std::mutex mu;
+  std::vector<serve::BatchToken> held;
   std::promise<std::size_t> seen;
   serve::MicroBatcher batcher(
-      config, [&](std::vector<serve::BatchRequest>&& batch) {
-        seen.set_value(batch.size());
-        for (auto& r : batch) r.promise.set_value(serve::ServeResult{});
+      config,
+      [&](std::vector<serve::BatchRequest>&& batch, serve::BatchToken done) {
+        {
+          const std::lock_guard<std::mutex> lock(mu);
+          if (held.empty()) {
+            held.push_back(std::move(done));
+          } else {
+            seen.set_value(batch.size());
+          }
+        }
+        answer_all(batch);
       });
-  serve::BatchRequest request;
-  std::future<serve::ServeResult> f = request.promise.get_future();
-  ASSERT_TRUE(batcher.submit(std::move(request)));
+  (void)submit_empty(batcher).get();
+  std::future<serve::ServeResult> f = submit_empty(batcher);
   EXPECT_EQ(seen.get_future().get(), 1u);  // flushed alone, by deadline
   (void)f.get();
+  {
+    const std::lock_guard<std::mutex> lock(mu);
+    held.clear();
+  }
   batcher.stop();
 }
 
@@ -251,9 +283,9 @@ TEST(MicroBatcher, StopFlushesQueuedRequestsAndRejectsNewOnes) {
   config.max_delay_s = 60.0;
   std::atomic<std::size_t> served{0};
   serve::MicroBatcher batcher(
-      config, [&](std::vector<serve::BatchRequest>&& batch) {
+      config, [&](std::vector<serve::BatchRequest>&& batch, serve::BatchToken) {
         served.fetch_add(batch.size());
-        for (auto& r : batch) r.promise.set_value(serve::ServeResult{});
+        answer_all(batch);
       });
   std::vector<std::future<serve::ServeResult>> futures;
   for (int i = 0; i < 5; ++i) {
@@ -266,6 +298,119 @@ TEST(MicroBatcher, StopFlushesQueuedRequestsAndRejectsNewOnes) {
   for (auto& f : futures) (void)f.get();
   serve::BatchRequest late;
   EXPECT_FALSE(batcher.submit(std::move(late)));
+}
+
+TEST(MicroBatcher, IdleBatcherAnswersLoneRequestAtOnce) {
+  serve::MicroBatcherConfig config;
+  config.max_batch = 64;
+  config.max_delay_s = 60.0;  // a lone request must not wait this out
+  serve::MicroBatcher batcher(
+      config, [](std::vector<serve::BatchRequest>&& batch, serve::BatchToken) {
+        answer_all(batch);
+      });
+  for (int i = 0; i < 3; ++i) {
+    std::future<serve::ServeResult> f = submit_empty(batcher);
+    ASSERT_EQ(f.wait_for(std::chrono::milliseconds(100)),
+              std::future_status::ready)
+        << "request " << i;
+  }
+  batcher.stop();
+}
+
+TEST(MicroBatcher, ArrivalsDuringAnExecutingBatchLeaveAsOneBatch) {
+  serve::MicroBatcherConfig config;
+  config.max_batch = 64;
+  config.max_delay_s = 60.0;
+  std::mutex mu;
+  std::vector<std::size_t> sizes;
+  std::promise<void> entered;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  // A synchronous runner: the first batch executes until released.
+  serve::MicroBatcher batcher(
+      config, [&](std::vector<serve::BatchRequest>&& batch, serve::BatchToken) {
+        bool first = false;
+        {
+          const std::lock_guard<std::mutex> lock(mu);
+          first = sizes.empty();
+          sizes.push_back(batch.size());
+        }
+        if (first) {
+          entered.set_value();
+          released.wait();
+        }
+        answer_all(batch);
+      });
+  std::vector<std::future<serve::ServeResult>> futures;
+  futures.push_back(submit_empty(batcher));
+  entered.get_future().wait();
+  for (int i = 0; i < 10; ++i) futures.push_back(submit_empty(batcher));
+  release.set_value();
+  for (auto& f : futures) {
+    ASSERT_EQ(f.wait_for(std::chrono::seconds(5)), std::future_status::ready);
+  }
+  batcher.stop();
+  const std::lock_guard<std::mutex> lock(mu);
+  EXPECT_EQ(sizes, (std::vector<std::size_t>{1, 10}));
+}
+
+TEST(MicroBatcher, SizeBoundCutsFullBatchWhileAnotherExecutes) {
+  serve::MicroBatcherConfig config;
+  config.max_batch = 4;
+  config.max_delay_s = 60.0;
+  std::mutex mu;
+  std::vector<std::size_t> sizes;
+  std::vector<serve::BatchToken> held;
+  // Every batch keeps its token: all of them stay executing, so only the
+  // size bound can cut after the first.
+  serve::MicroBatcher batcher(
+      config,
+      [&](std::vector<serve::BatchRequest>&& batch, serve::BatchToken done) {
+        {
+          const std::lock_guard<std::mutex> lock(mu);
+          sizes.push_back(batch.size());
+          held.push_back(std::move(done));
+        }
+        answer_all(batch);
+      });
+  (void)submit_empty(batcher).get();
+  std::vector<std::future<serve::ServeResult>> futures;
+  for (int i = 0; i < 4; ++i) futures.push_back(submit_empty(batcher));
+  // EXPECT, not ASSERT: the held tokens must be released below even on
+  // failure, or stop() would wait for them forever.
+  for (auto& f : futures) {
+    EXPECT_EQ(f.wait_for(std::chrono::seconds(5)), std::future_status::ready);
+  }
+  {
+    const std::lock_guard<std::mutex> lock(mu);
+    EXPECT_EQ(sizes, (std::vector<std::size_t>{1, 4}));
+    held.clear();
+  }
+  batcher.stop();
+}
+
+TEST(MicroBatcher, StopWaitsForBatchesStillExecuting) {
+  serve::MicroBatcherConfig config;
+  config.max_delay_s = 60.0;
+  std::atomic<bool> finished{false};
+  std::thread executor;
+  // An asynchronous runner: the batch finishes on another thread later.
+  serve::MicroBatcher batcher(
+      config,
+      [&](std::vector<serve::BatchRequest>&& batch, serve::BatchToken done) {
+        executor = std::thread(
+            [&finished, batch = std::move(batch),
+             done = std::move(done)]() mutable {
+              std::this_thread::sleep_for(std::chrono::milliseconds(50));
+              answer_all(batch);
+              finished.store(true);
+            });
+      });
+  std::future<serve::ServeResult> f = submit_empty(batcher);
+  batcher.stop();
+  EXPECT_TRUE(finished.load());
+  EXPECT_EQ(f.wait_for(std::chrono::seconds(0)), std::future_status::ready);
+  executor.join();
 }
 
 // -------------------------------------------------------------- ModelRegistry
@@ -670,7 +815,18 @@ TEST(ClassificationService, DeadlineExpiringInQueueShedsAtBatchCapture) {
   // promptly (checkpoint 2 of 3) instead of after max_delay.
   config.batcher.max_delay_s = 0.25;
   config.batcher.max_batch = 64;
-  serve::ClassificationService service(registry, config);
+  // An idle service cuts a lone request at once, so make the request
+  // queue for real: block the service's only executor thread, then submit
+  // a filler whose batch waits behind the blocker and keeps the batcher
+  // busy.
+  ThreadPool pool(1);
+  std::promise<void> unblock;
+  std::shared_future<void> unblocked = unblock.get_future().share();
+  std::future<void> blocker = pool.submit([unblocked] { unblocked.wait(); });
+  serve::ClassificationService service(registry, config, &pool);
+  auto filler = service.submit(std::vector<double>(kSteps * kSensors, 0.0),
+                               kSteps, kSensors);
+  while (service.pending() != 0) std::this_thread::yield();
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::milliseconds(5);
   auto future = service.submit(std::vector<double>(kSteps * kSensors, 0.0),
@@ -681,6 +837,97 @@ TEST(ClassificationService, DeadlineExpiringInQueueShedsAtBatchCapture) {
   const serve::ServeResult result = future.get();
   EXPECT_FALSE(result.accepted);
   EXPECT_EQ(result.reject_reason, serve::RejectReason::kDeadlineExceeded);
+  unblock.set_value();
+  EXPECT_TRUE(filler.get().accepted);
+  service.stop();
+}
+
+// ------------------------------------------------- work-conserving flushing
+//
+// The batcher cuts a lone request at once only while no batch it cut still
+// counts as executing. Each early-return path of the service's batch runner
+// must therefore report its batch done; a leaked count would hold every
+// later lone request for the whole 60 s max_delay below. (run_batch's
+// no-model path has no test here: the entry check sheds kNoModel before
+// the batcher whenever the registry has no bundle, and a registry never
+// loses its current bundle, so no request can reach that path.)
+
+serve::ServiceConfig leak_probe_config() {
+  serve::ServiceConfig config = tiny_service_config();
+  config.batcher.max_delay_s = 60.0;
+  return config;
+}
+
+/// Submits one window and requires its verdict well within max_delay.
+serve::ServeResult answer_at_once(serve::ClassificationService& service,
+                                  double fill = 0.0) {
+  std::future<serve::ServeResult> f = service.submit(
+      std::vector<double>(kSteps * kSensors, fill), kSteps, kSensors);
+  EXPECT_EQ(f.wait_for(std::chrono::seconds(1)), std::future_status::ready);
+  return f.get();
+}
+
+TEST(WorkConservingFlush, PoolExecutedBatchesReportTheBatchDone) {
+  serve::ModelRegistry registry;
+  registry.register_bundle(tiny_world().bundle);
+  serve::ClassificationService service(registry, leak_probe_config());
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_TRUE(answer_at_once(service).accepted) << "request " << i;
+  }
+  service.stop();
+}
+
+TEST(WorkConservingFlush, DegradedAnswersReportTheBatchDone) {
+  serve::ModelRegistry registry;
+  registry.register_bundle(tiny_world().bundle);
+  serve::ServiceConfig config = leak_probe_config();
+  // All-NaN windows abstain on quality; four of them trip the abstain-rate
+  // SLO, and with no fallback bundle the breaker goes straight to level 2.
+  config.health.enabled = true;
+  config.health.min_samples = 4;
+  config.health.open_cooldown_s = 60.0;
+  serve::ClassificationService service(registry, config);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  serve::ServeResult result;
+  for (int i = 0; i < 40 && result.degrade_level != 2; ++i) {
+    result = answer_at_once(service, nan);
+  }
+  ASSERT_EQ(result.degrade_level, 2);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(answer_at_once(service).degrade_level, 2) << "request " << i;
+  }
+  service.stop();
+}
+
+TEST(WorkConservingFlush, ChaosDroppedBatchesReportTheBatchDone) {
+  serve::ModelRegistry registry;
+  registry.register_bundle(tiny_world().bundle);
+  serve::ChaosProfile profile;
+  profile.batch_drop_probability = 1.0;
+  serve::ChaosInjector chaos(profile, 7);
+  chaos.set_armed(true);
+  serve::ServiceConfig config = leak_probe_config();
+  config.chaos = &chaos;
+  serve::ClassificationService service(registry, config);
+  for (int i = 0; i < 3; ++i) {
+    const serve::ServeResult result = answer_at_once(service);
+    EXPECT_FALSE(result.accepted);
+    EXPECT_EQ(result.reject_reason, serve::RejectReason::kInternal);
+  }
+  service.stop();
+}
+
+TEST(WorkConservingFlush, ExecutorRefusalReportsTheBatchDone) {
+  serve::ModelRegistry registry;
+  registry.register_bundle(tiny_world().bundle);
+  serve::ServiceConfig config = leak_probe_config();
+  config.admission.max_executor_queue = 0;  // the pool refuses every batch
+  serve::ClassificationService service(registry, config);
+  for (int i = 0; i < 3; ++i) {
+    const serve::ServeResult result = answer_at_once(service);
+    EXPECT_FALSE(result.accepted);
+    EXPECT_EQ(result.reject_reason, serve::RejectReason::kExecutor);
+  }
   service.stop();
 }
 

@@ -63,7 +63,8 @@ int main(int argc, char** argv) {
   cli.add_flag("sensors", "3", "window sensors when no bundle sets geometry");
   cli.add_flag("max-batch", "64", "micro-batch size bound");
   cli.add_flag("max-pending", "4096", "admission bound on queued requests");
-  cli.add_flag("batch-delay-ms", "2", "micro-batch max delay");
+  cli.add_flag("batch-delay-ms", "2",
+               "micro-batch max delay: upper bound while a batch executes");
   cli.add_flag("trace-out", "",
                "write this shard's sampled request traces as a "
                "chrome://tracing JSON document at exit");
