@@ -1,10 +1,15 @@
 // M1 — google-benchmark micro-benchmarks for the heavy kernels backing the
 // reproduction: GEMM, covariance reduction, PCA fit, forest fit and predict,
 // SMO SVM, boosted trees, LSTM step, telemetry synthesis and the cluster's
-// SCWCWIRE codec.
+// SCWCWIRE codec and SCWCBNDL bundle save/load.
 #include <benchmark/benchmark.h>
 
+#include <sstream>
+
+#include "common/bytes.hpp"
+#include "common/env.hpp"
 #include "common/rng.hpp"
+#include "core/challenge.hpp"
 #include "obs/metrics.hpp"
 #include "obs/request_trace.hpp"
 #include "obs/rolling.hpp"
@@ -19,6 +24,8 @@
 #include "preprocess/covariance_features.hpp"
 #include "preprocess/pca.hpp"
 #include "preprocess/scaler.hpp"
+#include "serve/bundle_io.hpp"
+#include "telemetry/corpus.hpp"
 #include "telemetry/gpu_synth.hpp"
 
 namespace {
@@ -392,10 +399,65 @@ void BM_Crc32(benchmark::State& state) {
   std::string bytes(static_cast<std::size_t>(state.range(0)), '\0');
   Rng rng(9);
   for (char& c : bytes) c = static_cast<char>(rng.next_u64() & 0xffU);
-  for (auto _ : state) benchmark::DoNotOptimize(net::crc32(bytes));
+  for (auto _ : state) benchmark::DoNotOptimize(crc32(bytes));
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           state.range(0));
 }
 BENCHMARK(BM_Crc32)->Arg(3424);
+
+// ------------------------------------------------------------ bundle codec
+//
+// SCWCBNDL save and load of a 100-tree covariance bundle, trained as the
+// perfbench serving benchmark trains it (tiny corpus, seeds 2022/31337).
+// Cluster setup saves one bundle and every worker boot-loads it; a hot
+// swap loads it again from the received bytes.
+
+const std::string& perfbench_bundle_bytes() {
+  static const std::string bytes = [] {
+    telemetry::CorpusConfig corpus_config;
+    corpus_config.jobs_per_class_scale =
+        ScaleProfile::named("tiny").jobs_per_class;
+    corpus_config.seed = 2022;
+    const data::ChallengeDataset ds = core::build_challenge_dataset(
+        telemetry::generate_corpus(corpus_config),
+        core::ChallengeConfig::from_profile(ScaleProfile::named("tiny"),
+                                            31337),
+        data::WindowPolicy::kRandom, 0);
+    serve::RfBundleSpec spec;
+    spec.version = "rf-cov";
+    spec.pipeline = {preprocess::Reduction::kCovariance, 0};
+    spec.forest.n_estimators = 100;
+    const auto bundle = serve::train_rf_bundle(spec, ds.x_train, ds.y_train);
+    std::ostringstream os;
+    serve::save_bundle(*bundle, os);
+    return os.str();
+  }();
+  return bytes;
+}
+
+void BM_BundleSave(benchmark::State& state) {
+  std::istringstream in(perfbench_bundle_bytes());
+  const auto bundle = serve::load_bundle(in);
+  for (auto _ : state) {
+    std::ostringstream os;
+    serve::save_bundle(*bundle, os);
+    benchmark::DoNotOptimize(os);
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(
+                              perfbench_bundle_bytes().size()));
+}
+BENCHMARK(BM_BundleSave)->Unit(benchmark::kMillisecond);
+
+void BM_BundleLoad(benchmark::State& state) {
+  const std::string& bytes = perfbench_bundle_bytes();
+  for (auto _ : state) {
+    std::istringstream in(bytes);
+    benchmark::DoNotOptimize(serve::load_bundle(in));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(bytes.size()));
+}
+BENCHMARK(BM_BundleLoad)->Unit(benchmark::kMillisecond);
 
 }  // namespace

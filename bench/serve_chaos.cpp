@@ -97,7 +97,7 @@ std::shared_ptr<const serve::ModelBundle> make_bundle(
 struct Scenario {
   std::string name;
   serve::ChaosProfile profile;
-  bool swap_storm = false;  ///< also hammer try_swap_from_stream while armed
+  bool swap_storm = false;  ///< also hammer try_swap_from_bytes while armed
 };
 
 std::vector<Scenario> make_scenarios(double severity) {
@@ -334,8 +334,8 @@ int main(int argc, char** argv) {
         while (!stop_aux.load(std::memory_order_acquire)) {
           std::vector<char> bytes(swap_bytes.begin(), swap_bytes.end());
           (void)chaos.on_swap_bytes(bytes);
-          std::istringstream in(std::string(bytes.begin(), bytes.end()));
-          (void)serve::try_swap_from_stream(registry, in);
+          (void)serve::try_swap_from_bytes(
+              registry, std::string_view(bytes.data(), bytes.size()));
           std::this_thread::sleep_for(std::chrono::milliseconds(20));
         }
       });

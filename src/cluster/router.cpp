@@ -6,6 +6,7 @@
 #include <sstream>
 #include <utility>
 
+#include "common/bytes.hpp"
 #include "common/error.hpp"
 #include "common/log.hpp"
 #include "net/wire.hpp"
@@ -627,8 +628,11 @@ void ShardRouter::reader_loop(const std::shared_ptr<ShardConn>& conn) {
                        req.wire_send_s - v.worker_latency_s);
 
           conn->rolling_latency.observe(result.total_latency_s);
-          record_request(req.trace_id, req.trace_sampled, req.job_id,
-                         conn->shard_id, req.submitted_at, result);
+          serve::record_verdict(
+              {.trace_id = req.trace_id, .sampled = req.trace_sampled,
+               .job_id = req.job_id, .started = req.submitted_at,
+               .shard_id = conn->shard_id},
+              result, tracer_, config_.audit);
           req.promise.set_value(std::move(result));
           break;
         }
@@ -713,8 +717,11 @@ void ShardRouter::mark_down(ShardConn& conn, serve::RejectReason reason) {
     } else {
       obs_shed_shutdown_.inc();
     }
-    record_request(req.trace_id, req.trace_sampled, req.job_id,
-                   conn.shard_id, req.submitted_at, result);
+    serve::record_verdict(
+        {.trace_id = req.trace_id, .sampled = req.trace_sampled,
+         .job_id = req.job_id, .started = req.submitted_at,
+         .shard_id = conn.shard_id},
+        result, tracer_, config_.audit);
     req.promise.set_value(std::move(result));
   }
   {
@@ -754,75 +761,12 @@ std::future<serve::ServeResult> ShardRouter::shed(
   result.trace_id = trace_id;
   result.phases = phases;
   result.total_latency_s = phases.total_s;
-  record_request(trace_id, sampled, job_id, shard_id, started, result);
+  serve::record_verdict({.trace_id = trace_id, .sampled = sampled,
+                         .job_id = job_id, .started = started,
+                         .shard_id = shard_id},
+                        result, tracer_, config_.audit);
   promise.set_value(std::move(result));
   return promise.get_future();
-}
-
-void ShardRouter::record_request(std::uint64_t trace_id, bool sampled,
-                                 std::int64_t job_id,
-                                 std::optional<std::uint32_t> shard_id,
-                                 std::chrono::steady_clock::time_point started,
-                                 const serve::ServeResult& result) {
-  const bool want_trace = sampled;
-  const bool want_audit = config_.audit != nullptr;
-  if (!want_trace && !want_audit) return;
-
-  // Mirrors ClassificationService::note_verdict so router-side records
-  // are shaped exactly like in-process ones (plus wire phases/shard_id).
-  std::string event;
-  if (!result.accepted) {
-    event = "shed";
-  } else if (result.prediction.abstained) {
-    event = "abstain";
-  } else {
-    event = "answer";
-  }
-
-  if (want_trace) {
-    obs::RequestTraceRecord rec;
-    rec.trace_id = trace_id;
-    rec.job_id = job_id;
-    rec.start_s = tracer_.since_epoch(started);
-    rec.phases = result.phases;
-    rec.outcome = event;
-    if (event == "shed") {
-      rec.outcome +=
-          std::string(":") + serve::reject_reason_name(result.reject_reason);
-    } else if (event == "abstain") {
-      rec.outcome += std::string(":") +
-                     robust::abstain_reason_name(result.prediction.reason);
-    }
-    rec.model_version = result.model_version;
-    rec.batch_size = result.batch_size;
-    rec.degrade_level = result.degrade_level;
-    tracer_.record(std::move(rec));
-  }
-
-  if (want_audit) {
-    serve::AuditRecord rec;
-    rec.trace_id = trace_id;
-    rec.job_id = job_id;
-    rec.event = event;
-    rec.model_version = result.model_version;
-    rec.label = result.prediction.label;
-    rec.degrade_level = result.degrade_level;
-    rec.batch_size = result.batch_size;
-    if (event == "abstain") {
-      rec.abstain_reason =
-          robust::abstain_reason_name(result.prediction.reason);
-    }
-    if (event == "shed") {
-      rec.reject_reason = serve::reject_reason_name(result.reject_reason);
-    } else {
-      rec.quality = result.prediction.report.quality();
-      rec.missing_values = result.prediction.report.missing_values;
-      rec.repaired_values = result.prediction.report.repaired_values;
-    }
-    rec.phases = result.phases;
-    rec.shard_id = shard_id;
-    config_.audit->log(rec);
-  }
 }
 
 SwapOutcome ShardRouter::push_to_shard(ShardConn& conn,
@@ -855,7 +799,7 @@ SwapOutcome ShardRouter::push_to_shard(ShardConn& conn,
     }
   }
   net::SwapCommitFrame commit;
-  commit.crc32 = net::crc32(bundle_bytes);
+  commit.crc32 = crc32(bundle_bytes);
   if (!send(conn, net::FrameType::kSwapCommit,
             net::encode_swap_commit(commit))) {
     outcome.message = "commit send failed";

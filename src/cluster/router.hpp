@@ -269,13 +269,6 @@ class ShardRouter {
   /// (the socket is exclusively owned and its io timeout still active).
   void sync_clock(ShardConn& conn);
   void metrics_poll_loop(double period_s);
-  /// Records one finished routed request into the tracer and audit log,
-  /// mirroring ClassificationService::note_verdict's record shape.
-  void record_request(std::uint64_t trace_id, bool sampled,
-                      std::int64_t job_id,
-                      std::optional<std::uint32_t> shard_id,
-                      std::chrono::steady_clock::time_point started,
-                      const serve::ServeResult& result);
 
   const RouterConfig config_;
 

@@ -1,9 +1,9 @@
 #include "cluster/worker.hpp"
 
 #include <chrono>
-#include <sstream>
 #include <utility>
 
+#include "common/bytes.hpp"
 #include "common/error.hpp"
 #include "common/log.hpp"
 #include "net/wire.hpp"
@@ -325,13 +325,13 @@ void ClusterWorker::handle_swap_commit(Connection& conn,
     ack.message = "no swap in progress";
   } else if (conn.swap_buffer.size() != conn.swap_total) {
     ack.message = "incomplete bundle stream";
-  } else if (net::crc32(conn.swap_buffer) != frame.crc32) {
+  } else if (crc32(conn.swap_buffer) != frame.crc32) {
     ack.message = "bundle CRC mismatch";
   } else {
-    std::istringstream is(conn.swap_buffer);
-    // try_swap_from_stream is failure-isolating: a corrupt bundle leaves
-    // the registry (and serving) exactly as it was.
-    const auto bundle = serve::try_swap_from_stream(registry_, is);
+    // try_swap_from_bytes decodes the buffer in place and is
+    // failure-isolating: a corrupt bundle leaves the registry (and
+    // serving) exactly as it was.
+    const auto bundle = serve::try_swap_from_bytes(registry_, conn.swap_buffer);
     if (bundle != nullptr) {
       ack.ok = true;
       swaps_.fetch_add(1);

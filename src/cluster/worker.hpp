@@ -10,11 +10,12 @@
 //
 // Model-bundle distribution (DESIGN.md §13): the router streams a bundle as
 // SwapBegin/SwapChunk*/SwapCommit. The worker assembles the bytes, verifies
-// the announced CRC, and hot-swaps through serve::try_swap_from_stream —
-// which on ANY load failure leaves the registry untouched, so a corrupt
-// push can never take down serving. SwapAbort rolls the registry back one
-// activation (the router sends it when a sibling shard rejected the same
-// push, restoring fleet-wide version agreement).
+// the announced CRC, and hot-swaps through serve::try_swap_from_bytes,
+// which decodes the assembled bytes in place and on ANY load failure
+// leaves the registry untouched, so a corrupt push can never take down
+// serving. SwapAbort rolls the registry back one activation (the router
+// sends it when a sibling shard rejected the same push, restoring
+// fleet-wide version agreement).
 //
 // The same class backs the scwc_worker binary and the in-process cluster
 // tests — everything is loopback TCP either way.

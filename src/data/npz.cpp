@@ -1,11 +1,9 @@
 #include "data/npz.hpp"
 
-#include <array>
-#include <cstring>
 #include <fstream>
-#include <ostream>
 #include <sstream>
 
+#include "common/bytes.hpp"
 #include "common/error.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -14,58 +12,19 @@ namespace scwc::data {
 
 namespace {
 
-std::array<std::uint32_t, 256> build_crc_table() {
-  std::array<std::uint32_t, 256> table{};
-  for (std::uint32_t i = 0; i < 256; ++i) {
-    std::uint32_t c = i;
-    for (int bit = 0; bit < 8; ++bit) {
-      c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-    }
-    table[i] = c;
-  }
-  return table;
-}
-
-void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v & 0xFF));
-  out.push_back(static_cast<std::uint8_t>((v >> 8) & 0xFF));
-}
-
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-}  // namespace
-
-std::uint32_t crc32(std::span<const std::uint8_t> bytes, std::uint32_t seed) {
-  static const std::array<std::uint32_t, 256> table = build_crc_table();
-  std::uint32_t c = seed ^ 0xFFFFFFFFu;
-  for (const std::uint8_t b : bytes) {
-    c = table[(c ^ b) & 0xFFu] ^ (c >> 8);
-  }
-  return c ^ 0xFFFFFFFFu;
-}
-
-std::vector<std::uint8_t> npy_encode(const std::string& descr,
-                                     const std::vector<std::size_t>& shape,
-                                     std::span<const std::uint8_t> payload) {
-  std::ostringstream header;
-  header << "{'descr': '" << descr << "', 'fortran_order': False, 'shape': (";
+/// The NPY v1.0 preamble of an array: magic, version, header length and
+/// the dict header, space-padded so the payload starts 64-byte aligned.
+std::string npy_header(std::string_view descr,
+                       const std::vector<std::size_t>& shape) {
+  std::ostringstream dict;
+  dict << "{'descr': '" << descr << "', 'fortran_order': False, 'shape': (";
   for (std::size_t i = 0; i < shape.size(); ++i) {
-    header << shape[i];
-    if (shape.size() == 1 || i + 1 < shape.size()) header << ",";
-    if (i + 1 < shape.size()) header << " ";
+    dict << shape[i];
+    if (shape.size() == 1 || i + 1 < shape.size()) dict << ",";
+    if (i + 1 < shape.size()) dict << " ";
   }
-  header << "), }";
-  std::string h = header.str();
+  dict << "), }";
+  std::string h = dict.str();
   // Pad with spaces so magic(6)+version(2)+len(2)+header is 64-aligned and
   // the header ends with a newline, per the NPY v1.0 spec.
   const std::size_t base = 6 + 2 + 2;
@@ -74,60 +33,69 @@ std::vector<std::uint8_t> npy_encode(const std::string& descr,
   h += '\n';
   SCWC_CHECK(h.size() <= 65535, "npy: header too long for v1.0");
 
-  std::vector<std::uint8_t> out;
-  out.reserve(base + h.size() + payload.size());
-  const char magic[6] = {'\x93', 'N', 'U', 'M', 'P', 'Y'};
-  out.insert(out.end(), magic, magic + 6);
-  out.push_back(1);  // major
-  out.push_back(0);  // minor
-  put_u16(out, static_cast<std::uint16_t>(h.size()));
-  out.insert(out.end(), h.begin(), h.end());
-  out.insert(out.end(), payload.begin(), payload.end());
-  return out;
+  ByteWriter w(base + h.size());
+  w.bytes("\x93NUMPY");
+  w.u8(1);  // major
+  w.u8(0);  // minor
+  w.u16(static_cast<std::uint16_t>(h.size()));
+  w.bytes(h);
+  return w.take();
 }
 
-std::vector<std::uint8_t> npy_from_doubles(
-    std::span<const double> values, const std::vector<std::size_t>& shape) {
+/// The fields a ZIP local-file header and a central-directory entry share,
+/// from the signature to the extra-field length (a central entry also
+/// carries "version made by").
+void write_zip_record(ByteWriter& w, std::uint32_t signature,
+                      const std::string& name, std::uint32_t crc,
+                      std::uint32_t size, bool central) {
+  w.u32(signature);
+  if (central) w.u16(20);  // version made by
+  w.u16(20);               // version needed
+  w.u16(0);                // flags
+  w.u16(0);                // method: stored
+  w.u16(0);                // mod time
+  w.u16(0x21);             // mod date (1980-01-01)
+  w.u32(crc);
+  w.u32(size);  // compressed size
+  w.u32(size);  // uncompressed size
+  w.u16(static_cast<std::uint16_t>(name.size()));
+  w.u16(0);  // extra length
+}
+
+}  // namespace
+
+std::string npy_from_doubles(std::span<const double> values,
+                             const std::vector<std::size_t>& shape) {
   std::size_t count = 1;
   for (const std::size_t s : shape) count *= s;
   SCWC_REQUIRE(count == values.size(), "npy: shape does not match data size");
-  std::vector<std::uint8_t> payload(values.size() * 8);
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    std::uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(double));
-    std::memcpy(&bits, &values[i], sizeof(bits));
-    for (int b = 0; b < 8; ++b) {
-      payload[i * 8 + static_cast<std::size_t>(b)] =
-          static_cast<std::uint8_t>((bits >> (8 * b)) & 0xFF);
-    }
-  }
-  return npy_encode("<f8", shape, payload);
+  const std::string header = npy_header("<f8", shape);
+  ByteWriter w(header.size() + values.size_bytes());
+  w.bytes(header);
+  w.f64s(values);
+  return w.take();
 }
 
-std::vector<std::uint8_t> npy_from_labels(std::span<const int> labels) {
-  std::vector<std::uint8_t> payload;
-  payload.reserve(labels.size() * 8);
-  for (const int label : labels) {
-    put_u64(payload, static_cast<std::uint64_t>(
-                         static_cast<std::int64_t>(label)));
-  }
-  return npy_encode("<i8", {labels.size()}, payload);
+std::string npy_from_labels(std::span<const int> labels) {
+  const std::string header = npy_header("<i8", {labels.size()});
+  ByteWriter w(header.size() + labels.size() * sizeof(std::int64_t));
+  w.bytes(header);
+  for (const int label : labels) w.i64(label);
+  return w.take();
 }
 
-std::vector<std::uint8_t> npy_from_strings(
-    const std::vector<std::string>& values) {
+std::string npy_from_strings(const std::vector<std::string>& values) {
   constexpr std::size_t kWidth = 32;
-  std::vector<std::uint8_t> payload;
-  payload.reserve(values.size() * kWidth * 4);
+  const std::string header = npy_header("<U32", {values.size()});
+  ByteWriter w(header.size() + values.size() * kWidth * 4);
+  w.bytes(header);
   for (const auto& s : values) {
     for (std::size_t i = 0; i < kWidth; ++i) {
       // ASCII → UTF-32LE code units; zero-padded beyond the string.
-      const std::uint32_t cp =
-          i < s.size() ? static_cast<std::uint8_t>(s[i]) : 0u;
-      put_u32(payload, cp);
+      w.u32(i < s.size() ? static_cast<std::uint8_t>(s[i]) : 0U);
     }
   }
-  return npy_encode("<U32", {values.size()}, payload);
+  return w.take();
 }
 
 void write_zip(std::ostream& os, const std::vector<ZipEntry>& entries) {
@@ -138,81 +106,48 @@ void write_zip(std::ostream& os, const std::vector<ZipEntry>& entries) {
   };
   std::vector<Record> records;
   records.reserve(entries.size());
-  std::uint32_t offset = 0;
-
-  const auto emit = [&os, &offset](const std::vector<std::uint8_t>& bytes) {
-    os.write(reinterpret_cast<const char*>(bytes.data()),
-             static_cast<std::streamsize>(bytes.size()));
-    offset += static_cast<std::uint32_t>(bytes.size());
-  };
+  ByteWriter w(os);
 
   // Local file headers + data.
   for (const auto& entry : entries) {
     SCWC_REQUIRE(entry.bytes.size() < 0xFFFFFFFFull,
                  "zip: member too large for zip32");
-    Record rec;
-    rec.offset = offset;
-    rec.crc = crc32(entry.bytes);
-    rec.size = static_cast<std::uint32_t>(entry.bytes.size());
+    const Record rec{crc32(entry.bytes),
+                     static_cast<std::uint32_t>(entry.bytes.size()),
+                     static_cast<std::uint32_t>(w.size())};
     records.push_back(rec);
-
-    std::vector<std::uint8_t> header;
-    put_u32(header, 0x04034b50);                     // local header signature
-    put_u16(header, 20);                             // version needed
-    put_u16(header, 0);                              // flags
-    put_u16(header, 0);                              // method: stored
-    put_u16(header, 0);                              // mod time
-    put_u16(header, 0x21);                           // mod date (1980-01-01)
-    put_u32(header, rec.crc);
-    put_u32(header, rec.size);                       // compressed size
-    put_u32(header, rec.size);                       // uncompressed size
-    put_u16(header, static_cast<std::uint16_t>(entry.name.size()));
-    put_u16(header, 0);                              // extra length
-    header.insert(header.end(), entry.name.begin(), entry.name.end());
-    emit(header);
-    emit(entry.bytes);
+    write_zip_record(w, 0x04034b50, entry.name, rec.crc, rec.size,
+                     /*central=*/false);
+    w.bytes(entry.name);
+    w.bytes(entry.bytes);
   }
 
   // Central directory.
-  const std::uint32_t central_start = offset;
+  const auto central_start = static_cast<std::uint32_t>(w.size());
   for (std::size_t i = 0; i < entries.size(); ++i) {
-    const auto& entry = entries[i];
     const Record& rec = records[i];
-    std::vector<std::uint8_t> header;
-    put_u32(header, 0x02014b50);  // central directory signature
-    put_u16(header, 20);          // version made by
-    put_u16(header, 20);          // version needed
-    put_u16(header, 0);           // flags
-    put_u16(header, 0);           // method
-    put_u16(header, 0);           // mod time
-    put_u16(header, 0x21);        // mod date
-    put_u32(header, rec.crc);
-    put_u32(header, rec.size);
-    put_u32(header, rec.size);
-    put_u16(header, static_cast<std::uint16_t>(entry.name.size()));
-    put_u16(header, 0);           // extra
-    put_u16(header, 0);           // comment
-    put_u16(header, 0);           // disk number
-    put_u16(header, 0);           // internal attrs
-    put_u32(header, 0);           // external attrs
-    put_u32(header, rec.offset);
-    header.insert(header.end(), entry.name.begin(), entry.name.end());
-    emit(header);
+    write_zip_record(w, 0x02014b50, entries[i].name, rec.crc, rec.size,
+                     /*central=*/true);
+    w.u16(0);  // comment
+    w.u16(0);  // disk number
+    w.u16(0);  // internal attrs
+    w.u32(0);  // external attrs
+    w.u32(rec.offset);
+    w.bytes(entries[i].name);
   }
-  const std::uint32_t central_size = offset - central_start;
+  const auto central_size =
+      static_cast<std::uint32_t>(w.size()) - central_start;
 
   // End of central directory.
-  std::vector<std::uint8_t> eocd;
-  put_u32(eocd, 0x06054b50);
-  put_u16(eocd, 0);  // disk
-  put_u16(eocd, 0);  // central directory disk
-  put_u16(eocd, static_cast<std::uint16_t>(entries.size()));
-  put_u16(eocd, static_cast<std::uint16_t>(entries.size()));
-  put_u32(eocd, central_size);
-  put_u32(eocd, central_start);
-  put_u16(eocd, 0);  // comment length
-  emit(eocd);
-  SCWC_REQUIRE(os.good(), "zip: write failed");
+  w.u32(0x06054b50);
+  w.u16(0);  // disk
+  w.u16(0);  // central directory disk
+  w.u16(static_cast<std::uint16_t>(entries.size()));
+  w.u16(static_cast<std::uint16_t>(entries.size()));
+  w.u32(central_size);
+  w.u32(central_start);
+  w.u16(0);  // comment length
+  w.finish();
 }
 
 void save_npz(const ChallengeDataset& dataset,

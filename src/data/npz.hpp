@@ -4,8 +4,9 @@
 //  the files: X_train, y_train, model_train, X_test, y_test, model_test."
 //
 // This module writes byte-exact NPY v1.0 members inside an uncompressed
-// ("stored") ZIP container so a standard `numpy.load` reads the result with
-// no extra dependencies on our side:
+// ("stored") ZIP container, through the shared byte codec and CRC-32
+// (common/bytes.hpp), so a standard `numpy.load` reads the result with no
+// extra dependencies on our side:
 //   X_*      float64, shape (trials, samples, sensors)
 //   y_*      int64,   shape (trials,)
 //   model_*  unicode '<U32', shape (trials,)
@@ -22,35 +23,21 @@
 
 namespace scwc::data {
 
-/// CRC-32 (IEEE 802.3, as required by the ZIP format) of a byte buffer.
-/// `seed` allows incremental computation: pass the previous result.
-std::uint32_t crc32(std::span<const std::uint8_t> bytes,
-                    std::uint32_t seed = 0);
-
-/// Serialises one array into NPY v1.0 bytes.
-/// `descr` is the numpy dtype string (e.g. "<f8", "<i8", "<U32") and
-/// `shape` the dimensions; `payload` must already be in the dtype's wire
-/// format (little-endian).
-std::vector<std::uint8_t> npy_encode(const std::string& descr,
-                                     const std::vector<std::size_t>& shape,
-                                     std::span<const std::uint8_t> payload);
-
 /// Encodes a double array as "<f8" NPY bytes.
-std::vector<std::uint8_t> npy_from_doubles(
-    std::span<const double> values, const std::vector<std::size_t>& shape);
+std::string npy_from_doubles(std::span<const double> values,
+                             const std::vector<std::size_t>& shape);
 
 /// Encodes int labels as "<i8" NPY bytes.
-std::vector<std::uint8_t> npy_from_labels(std::span<const int> labels);
+std::string npy_from_labels(std::span<const int> labels);
 
 /// Encodes strings as fixed-width "<U32" NPY bytes (UTF-32LE, truncating
 /// anything longer than 32 code points — class names are far shorter).
-std::vector<std::uint8_t> npy_from_strings(
-    const std::vector<std::string>& values);
+std::string npy_from_strings(const std::vector<std::string>& values);
 
 /// One member of a ZIP archive.
 struct ZipEntry {
-  std::string name;                 ///< e.g. "X_train.npy"
-  std::vector<std::uint8_t> bytes;  ///< raw member contents
+  std::string name;   ///< e.g. "X_train.npy"
+  std::string bytes;  ///< raw member contents
 };
 
 /// Writes an uncompressed ZIP archive (method 0 "stored") to a stream.

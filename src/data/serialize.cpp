@@ -1,15 +1,12 @@
 #include "data/serialize.hpp"
 
-#include <algorithm>
-#include <cstring>
+#include <chrono>
 #include <fstream>
 #include <limits>
-#include <istream>
-#include <ostream>
 #include <string>
+#include <string_view>
 
-#include <chrono>
-
+#include "common/bytes.hpp"
 #include "common/error.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -19,208 +16,119 @@ namespace scwc::data {
 
 namespace {
 
-constexpr char kMagic[8] = {'S', 'C', 'W', 'C', 'B', '0', '0', '1'};
+constexpr std::string_view kMagic{"SCWCB001", 8};
+constexpr const char* kDecodeContext = "scb";
 
-void write_u64(std::ostream& os, std::uint64_t v) {
-  // Explicit little-endian byte order for portability.
-  for (int i = 0; i < 8; ++i) {
-    const char byte = static_cast<char>((v >> (8 * i)) & 0xFF);
-    os.put(byte);
-  }
-}
+// Caps on what a corrupted length field may claim; the reader then checks
+// each length against the bytes that remain before allocating.
+constexpr std::uint64_t kMaxStringBytes = (1ULL << 24) - 1;
+constexpr std::uint64_t kMaxTensorValues = (1ULL << 32) - 1;
+constexpr std::uint64_t kDimCap = 1ULL << 26;
 
-void write_string(std::ostream& os, const std::string& s) {
-  write_u64(os, s.size());
-  os.write(s.data(), static_cast<std::streamsize>(s.size()));
-}
-
-void write_doubles(std::ostream& os, std::span<const double> v) {
-  write_u64(os, v.size());
-  os.write(reinterpret_cast<const char*>(v.data()),
-           static_cast<std::streamsize>(v.size() * sizeof(double)));
-}
-
-/// Counting reader: every failure names the field being read and the byte
-/// offset where the stream ended or the value turned implausible, so a
-/// corrupted/truncated .scb is diagnosable instead of a crash or a silent
-/// misread.
-class ScbReader {
- public:
-  explicit ScbReader(std::istream& is) : is_(is) {}
-
-  [[nodiscard]] std::uint64_t offset() const noexcept { return offset_; }
-
-  [[noreturn]] void fail(const std::string& what) const {
-    SCWC_FAIL("scb: " + what + " at byte offset " + std::to_string(offset_));
-  }
-
-  void read_bytes(char* dst, std::size_t n, const char* what) {
-    is_.read(dst, static_cast<std::streamsize>(n));
-    if (static_cast<std::size_t>(is_.gcount()) != n) {
-      offset_ += static_cast<std::uint64_t>(std::max<std::streamsize>(
-          0, is_.gcount()));
-      fail(std::string("truncated ") + what);
-    }
-    offset_ += n;
-  }
-
-  std::uint64_t read_u64(const char* what) {
-    char bytes[8];
-    read_bytes(bytes, sizeof(bytes), what);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(static_cast<unsigned char>(bytes[i]))
-           << (8 * i);
-    }
-    return v;
-  }
-
-  std::string read_string(const char* what) {
-    const std::uint64_t n = read_u64(what);
-    if (n >= (1ULL << 24)) {
-      fail(std::string("unreasonable ") + what + " length " +
-           std::to_string(n));
-    }
-    std::string s(static_cast<std::size_t>(n), '\0');
-    read_bytes(s.data(), s.size(), what);
-    return s;
-  }
-
-  std::vector<double> read_doubles(const char* what) {
-    const std::uint64_t n = read_u64(what);
-    if (n >= (1ULL << 32)) {
-      fail(std::string("unreasonable ") + what + " length " +
-           std::to_string(n));
-    }
-    // Read in bounded chunks: a corrupted length field over a truncated
-    // stream then fails at the real end of data instead of attempting one
-    // gigantic allocation up front.
-    std::vector<double> v;
-    v.reserve(std::min<std::size_t>(static_cast<std::size_t>(n), 1u << 16));
-    std::size_t remaining = static_cast<std::size_t>(n);
-    while (remaining > 0) {
-      const std::size_t chunk = std::min<std::size_t>(remaining, 1u << 16);
-      const std::size_t old_size = v.size();
-      v.resize(old_size + chunk);
-      read_bytes(reinterpret_cast<char*>(v.data() + old_size),
-                 chunk * sizeof(double), what);
-      remaining -= chunk;
-    }
-    return v;
-  }
-
- private:
-  std::istream& is_;
-  std::uint64_t offset_ = 0;
-};
-
-void write_split(std::ostream& os, const Tensor3& x,
-                 const std::vector<int>& y,
+void write_split(ByteWriter& w, const Tensor3& x, const std::vector<int>& y,
                  const std::vector<std::string>& names,
                  const std::vector<std::int64_t>& jobs) {
-  write_u64(os, x.trials());
-  write_u64(os, x.steps());
-  write_u64(os, x.sensors());
-  write_doubles(os, x.raw());
-  write_u64(os, y.size());
-  for (const int label : y) write_u64(os, static_cast<std::uint64_t>(label));
-  write_u64(os, names.size());
-  for (const auto& n : names) write_string(os, n);
-  write_u64(os, jobs.size());
-  for (const auto j : jobs) write_u64(os, static_cast<std::uint64_t>(j));
+  w.u64(x.trials());
+  w.u64(x.steps());
+  w.u64(x.sensors());
+  w.f64_array<std::uint64_t>(x.raw());
+  w.u64(y.size());
+  for (const int label : y) w.i64(label);
+  w.u64(names.size());
+  for (const auto& n : names) w.string<std::uint64_t>(n);
+  w.u64(jobs.size());
+  for (const auto j : jobs) w.i64(j);
 }
 
-void read_split(ScbReader& reader, Tensor3& x, std::vector<int>& y,
+void read_split(ByteReader& r, Tensor3& x, std::vector<int>& y,
                 std::vector<std::string>& names,
                 std::vector<std::int64_t>& jobs) {
-  const std::uint64_t trials = reader.read_u64("trial count");
-  const std::uint64_t steps = reader.read_u64("step count");
-  const std::uint64_t sensors = reader.read_u64("sensor count");
+  const std::uint64_t trials = r.u64("trial count");
+  const std::uint64_t steps = r.u64("step count");
+  const std::uint64_t sensors = r.u64("sensor count");
   // Dimension sanity *before* multiplying, so a corrupted header cannot
   // overflow std::size_t and silently alias a smaller tensor.
-  constexpr std::uint64_t kDimCap = 1ULL << 26;
   if (trials >= kDimCap || steps >= kDimCap || sensors >= kDimCap) {
-    reader.fail("implausible tensor dimensions " + std::to_string(trials) +
-                "×" + std::to_string(steps) + "×" + std::to_string(sensors));
+    r.fail("implausible tensor dimensions " + std::to_string(trials) + "×" +
+           std::to_string(steps) + "×" + std::to_string(sensors));
   }
-  const std::vector<double> raw = reader.read_doubles("tensor data");
+  const std::uint64_t values = r.u64("tensor data");
+  if (values > kMaxTensorValues) {
+    r.fail("unreasonable tensor data length " + std::to_string(values));
+  }
   // Overflow-safe product: capped dimensions still multiply past 64 bits,
-  // and an overflowed product could alias raw.size().
+  // and an overflowed product could alias the stored length.
   const std::uint64_t ts = trials * steps;  // < 2^52, cannot overflow
   if (sensors != 0 &&
       ts > std::numeric_limits<std::uint64_t>::max() / sensors) {
-    reader.fail("tensor dimensions overflow");
+    r.fail("tensor dimensions overflow");
   }
-  const std::uint64_t expected = ts * sensors;
-  if (expected != raw.size()) {
-    reader.fail("tensor size mismatch (header implies " +
-                std::to_string(trials) + "×" + std::to_string(steps) + "×" +
-                std::to_string(sensors) + " values, got " +
-                std::to_string(raw.size()) + ")");
+  if (ts * sensors != values) {
+    r.fail("tensor size mismatch (header implies " + std::to_string(trials) +
+           "×" + std::to_string(steps) + "×" + std::to_string(sensors) +
+           " values, got " + std::to_string(values) + ")");
   }
+  r.need(values, sizeof(double), "tensor data");
   x = Tensor3(trials, steps, sensors);
-  std::memcpy(x.raw().data(), raw.data(), raw.size() * sizeof(double));
+  r.f64s(x.raw(), "tensor data");
 
-  const std::uint64_t ny = reader.read_u64("label count");
-  if (ny != trials) reader.fail("label count mismatch");
-  y.resize(ny);
-  for (auto& label : y) label = static_cast<int>(reader.read_u64("label"));
+  // Each per-trial array holds `trials` items of at least 8 bytes.
+  if (r.u64("label count") != trials) r.fail("label count mismatch");
+  r.need(trials, 8, "labels");
+  y.resize(trials);
+  for (auto& label : y) label = static_cast<int>(r.i64("label"));
 
-  const std::uint64_t nn = reader.read_u64("model-name count");
-  if (nn != trials) reader.fail("model-name count mismatch");
-  names.resize(nn);
-  for (auto& n : names) n = reader.read_string("model name");
-
-  const std::uint64_t nj = reader.read_u64("job-id count");
-  if (nj != trials) reader.fail("job-id count mismatch");
-  jobs.resize(nj);
-  for (auto& j : jobs) {
-    j = static_cast<std::int64_t>(reader.read_u64("job id"));
+  if (r.u64("model-name count") != trials) {
+    r.fail("model-name count mismatch");
   }
+  r.need(trials, 8, "model names");
+  names.resize(trials);
+  for (auto& n : names) {
+    n = r.string<std::uint64_t>(kMaxStringBytes, "model name");
+  }
+
+  if (r.u64("job-id count") != trials) r.fail("job-id count mismatch");
+  r.need(trials, 8, "job ids");
+  jobs.resize(trials);
+  for (auto& j : jobs) j = r.i64("job id");
 }
 
 }  // namespace
 
 void write_scb(const ChallengeDataset& dataset, std::ostream& os) {
   const obs::TraceSpan span("scb.write");
-  const auto start_pos = os.tellp();
-  os.write(kMagic, sizeof(kMagic));
-  write_string(os, dataset.name);
-  write_u64(os, static_cast<std::uint64_t>(dataset.policy));
-  write_split(os, dataset.x_train, dataset.y_train, dataset.model_train,
+  ByteWriter w(os);
+  w.bytes(kMagic);
+  w.string<std::uint64_t>(dataset.name);
+  w.u64(static_cast<std::uint64_t>(dataset.policy));
+  write_split(w, dataset.x_train, dataset.y_train, dataset.model_train,
               dataset.job_train);
-  write_split(os, dataset.x_test, dataset.y_test, dataset.model_test,
+  write_split(w, dataset.x_test, dataset.y_test, dataset.model_test,
               dataset.job_test);
-  SCWC_REQUIRE(os.good(), "scb: write failed");
+  w.finish();
   auto& reg = obs::MetricsRegistry::global();
   reg.counter("scwc_data_scb_writes_total").inc();
-  const auto end_pos = os.tellp();
-  if (start_pos >= 0 && end_pos >= start_pos) {
-    reg.counter("scwc_data_scb_bytes_written_total")
-        .inc(static_cast<std::uint64_t>(end_pos - start_pos));
-  }
+  reg.counter("scwc_data_scb_bytes_written_total").inc(w.size());
 }
 
 ChallengeDataset read_scb(std::istream& is) {
   const obs::TraceSpan span("scb.read");
   const auto t0 = std::chrono::steady_clock::now();
-  ScbReader reader(is);
-  char magic[8];
-  reader.read_bytes(magic, sizeof(magic), "magic");
-  if (std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    reader.fail("bad magic (not an .scb file)");
+  ByteReader r(is, kDecodeContext);
+  if (r.bytes(kMagic.size(), "magic") != kMagic) {
+    r.fail("bad magic (not an .scb file)");
   }
   ChallengeDataset d;
-  d.name = reader.read_string("dataset name");
-  const std::uint64_t policy = reader.read_u64("window policy");
-  if (policy > 2) reader.fail("bad window policy " + std::to_string(policy));
+  d.name = r.string<std::uint64_t>(kMaxStringBytes, "dataset name");
+  const std::uint64_t policy = r.u64("window policy");
+  if (policy > 2) r.fail("bad window policy " + std::to_string(policy));
   d.policy = static_cast<WindowPolicy>(policy);
-  read_split(reader, d.x_train, d.y_train, d.model_train, d.job_train);
-  read_split(reader, d.x_test, d.y_test, d.model_test, d.job_test);
+  read_split(r, d.x_train, d.y_train, d.model_train, d.job_train);
+  read_split(r, d.x_test, d.y_test, d.model_test, d.job_test);
   d.validate();
   auto& reg = obs::MetricsRegistry::global();
   reg.counter("scwc_data_scb_reads_total").inc();
-  reg.counter("scwc_data_scb_bytes_read_total").inc(reader.offset());
+  reg.counter("scwc_data_scb_bytes_read_total").inc(r.offset());
   reg.histogram("scwc_data_scb_read_seconds")
       .observe(std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                              t0)

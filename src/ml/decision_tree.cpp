@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
-#include <istream>
 #include <numeric>
-#include <ostream>
 
+#include "common/bytes.hpp"
 #include "common/error.hpp"
 
 namespace scwc::ml {
@@ -211,94 +209,55 @@ linalg::Matrix DecisionTree::predict_proba(const linalg::Matrix& x) const {
   return out;
 }
 
-}  // namespace scwc::ml
-
-namespace scwc::ml {
-namespace detail {
-
-// One stream call per integer, not per byte: a 100-tree forest holds about
-// 700k of them, and the per-call cost dominates bundle save and load time.
-void write_u64_le(std::ostream& os, std::uint64_t v) {
-  char bytes[8];
-  for (int i = 0; i < 8; ++i) {
-    bytes[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
-  }
-  os.write(bytes, sizeof(bytes));
-}
-
-std::uint64_t read_u64_le(std::istream& is) {
-  char bytes[8];
-  SCWC_REQUIRE(is.read(bytes, sizeof(bytes)).gcount() == sizeof(bytes),
-               "model: truncated integer");
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(static_cast<unsigned char>(bytes[i]))
-         << (8 * i);
-  }
-  return v;
-}
-
-void write_f64_le(std::ostream& os, double v) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  write_u64_le(os, bits);
-}
-
-double read_f64_le(std::istream& is) {
-  const std::uint64_t bits = read_u64_le(is);
-  double v;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
-}
-
-}  // namespace detail
-
 void DecisionTree::save(std::ostream& os) const {
-  detail::write_u64_le(os, num_classes_);
-  detail::write_u64_le(os, depth_);
-  detail::write_u64_le(os, nodes_.size());
-  for (const Node& node : nodes_) {
-    detail::write_u64_le(
-        os, static_cast<std::uint64_t>(static_cast<std::int64_t>(node.feature)));
-    detail::write_f64_le(os, node.threshold);
-    detail::write_u64_le(
-        os, static_cast<std::uint64_t>(static_cast<std::int64_t>(node.left)));
-    detail::write_u64_le(
-        os, static_cast<std::uint64_t>(static_cast<std::int64_t>(node.right)));
-    detail::write_u64_le(os, static_cast<std::uint64_t>(node.majority));
-    detail::write_u64_le(os, node.class_fraction.size());
-    for (const double f : node.class_fraction) detail::write_f64_le(os, f);
-  }
-  SCWC_REQUIRE(os.good(), "model: tree write failed");
+  ByteWriter w(os);
+  save(w);
+  w.finish();
 }
 
 void DecisionTree::load(std::istream& is) {
-  num_classes_ = detail::read_u64_le(is);
-  // Caps bound what a corrupted length field can make us allocate before
-  // the truncation check fires: a single flipped bit in `count` must yield
-  // a typed error, not a multi-gigabyte nodes_.assign.
+  ByteReader r(is, "model");
+  load(r);
+}
+
+void DecisionTree::save(ByteWriter& w) const {
+  w.u64(num_classes_);
+  w.u64(depth_);
+  w.u64(nodes_.size());
+  for (const Node& node : nodes_) {
+    w.i64(node.feature);
+    w.f64(node.threshold);
+    w.i64(node.left);
+    w.i64(node.right);
+    w.i64(node.majority);
+    w.f64_array<std::uint64_t>(node.class_fraction);
+  }
+}
+
+void DecisionTree::load(ByteReader& r) {
+  num_classes_ = r.u64("class count");
+  // Caps bound what a corrupted length field can make us allocate: a
+  // single flipped bit in a count must yield a typed error, not a
+  // multi-gigabyte nodes_.assign. Every node takes at least six words.
   SCWC_REQUIRE(num_classes_ >= 1 && num_classes_ <= (1ULL << 16),
                "model: unreasonable class count");
-  const std::uint64_t stored_depth = detail::read_u64_le(is);
-  const std::uint64_t count = detail::read_u64_le(is);
-  SCWC_REQUIRE(count < (1ULL << 20), "model: unreasonable node count");
+  const std::uint64_t stored_depth = r.u64("depth");
+  const std::size_t count = r.length<std::uint64_t>(
+      (1ULL << 20) - 1, 6 * sizeof(std::uint64_t), "node array");
   nodes_.assign(count, Node{});
   for (Node& node : nodes_) {
-    node.feature = static_cast<std::int32_t>(
-        static_cast<std::int64_t>(detail::read_u64_le(is)));
-    node.threshold = detail::read_f64_le(is);
-    node.left = static_cast<std::int32_t>(
-        static_cast<std::int64_t>(detail::read_u64_le(is)));
-    node.right = static_cast<std::int32_t>(
-        static_cast<std::int64_t>(detail::read_u64_le(is)));
-    node.majority = static_cast<std::int32_t>(detail::read_u64_le(is));
-    const std::uint64_t fractions = detail::read_u64_le(is);
+    node.feature = static_cast<std::int32_t>(r.i64("node feature"));
+    node.threshold = r.f64("node threshold");
+    node.left = static_cast<std::int32_t>(r.i64("node child"));
+    node.right = static_cast<std::int32_t>(r.i64("node child"));
+    node.majority = static_cast<std::int32_t>(r.i64("leaf majority"));
+    const std::uint64_t fractions = r.u64("leaf fraction count");
     // A leaf carries one fraction per class (predict reads all of them);
     // an internal node carries none.
     SCWC_REQUIRE(fractions == (node.feature < 0 ? num_classes_ : 0),
                  "model: malformed leaf distribution");
     node.class_fraction.resize(fractions);
-    for (double& f : node.class_fraction) f = detail::read_f64_le(is);
+    r.f64s(node.class_fraction, "leaf fractions");
     if (node.feature < 0) {
       SCWC_REQUIRE(node.majority >= 0 &&
                        static_cast<std::uint64_t>(node.majority) < num_classes_,

@@ -11,6 +11,7 @@
 #include <span>
 #include <vector>
 
+#include "common/bytes.hpp"
 #include "common/rng.hpp"
 #include "ml/classifier.hpp"
 
@@ -60,11 +61,13 @@ class DecisionTree final : public Classifier {
 
   /// Serialises the fitted tree (little-endian binary).
   void save(std::ostream& os) const;
+  void save(ByteWriter& w) const;
   /// Restores a tree saved with save(). Throws scwc::Error on malformed
   /// input: nodes not in the preorder layout save() writes (which rules out
   /// cycles and shared children), a leaf without exactly num_classes
   /// fractions, or a stored depth that disagrees with the structure.
   void load(std::istream& is);
+  void load(ByteReader& r);
 
  private:
   // Compiles fitted trees into the forest's node table and back.

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <fstream>
 
+#include "common/bytes.hpp"
 #include "common/error.hpp"
 #include "common/thread_pool.hpp"
 #include "obs/metrics.hpp"
@@ -99,41 +101,40 @@ std::vector<int> RandomForest::predict(const linalg::Matrix& x) const {
   return out;
 }
 
-}  // namespace scwc::ml
-
-#include <fstream>
-
-namespace scwc::ml {
-
-// Defined in decision_tree.cpp.
-namespace detail {
-void write_u64_le(std::ostream& os, std::uint64_t v);
-std::uint64_t read_u64_le(std::istream& is);
-}  // namespace detail
-
 namespace {
 constexpr std::uint64_t kForestMagic = 0x534357435F524631ULL;  // "SCWC_RF1"
 }
 
 void RandomForest::save(std::ostream& os) const {
-  SCWC_REQUIRE(table_.tree_count() > 0, "RandomForest::save before fit");
-  detail::write_u64_le(os, kForestMagic);
-  detail::write_u64_le(os, table_.num_classes());
-  detail::write_u64_le(os, table_.tree_count());
-  for (std::size_t t = 0; t < table_.tree_count(); ++t) table_.tree(t).save(os);
+  ByteWriter w(os);
+  save(w);
+  w.finish();
 }
 
 void RandomForest::load(std::istream& is) {
-  SCWC_REQUIRE(detail::read_u64_le(is) == kForestMagic,
+  ByteReader r(is, "model");
+  load(r);
+}
+
+void RandomForest::save(ByteWriter& w) const {
+  SCWC_REQUIRE(table_.tree_count() > 0, "RandomForest::save before fit");
+  w.u64(kForestMagic);
+  w.u64(table_.num_classes());
+  w.u64(table_.tree_count());
+  for (std::size_t t = 0; t < table_.tree_count(); ++t) table_.tree(t).save(w);
+}
+
+void RandomForest::load(ByteReader& r) {
+  SCWC_REQUIRE(r.u64("magic") == kForestMagic,
                "RandomForest::load: bad magic");
-  const std::uint64_t num_classes = detail::read_u64_le(is);
-  const std::uint64_t count = detail::read_u64_le(is);
+  const std::uint64_t num_classes = r.u64("class count");
+  const std::uint64_t count = r.u64("tree count");
   SCWC_REQUIRE(count >= 1 && count < (1ULL << 20),
                "RandomForest::load: unreasonable tree count");
   ForestTable table;
   for (std::uint64_t t = 0; t < count; ++t) {
     DecisionTree tree;
-    tree.load(is);
+    tree.load(r);
     SCWC_REQUIRE(tree.num_classes() == num_classes,
                  "RandomForest::load: tree class count disagrees with the "
                  "forest");

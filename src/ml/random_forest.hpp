@@ -51,9 +51,11 @@ class RandomForest final : public Classifier {
   /// SCWC_RF1 layout: magic, class count, tree count, then each tree as
   /// DecisionTree::save writes it.
   void save(std::ostream& os) const;
+  void save(ByteWriter& w) const;
   /// Restores a forest written by save(). Throws scwc::Error on malformed
   /// input (see DecisionTree::load) and leaves the forest unchanged then.
   void load(std::istream& is);
+  void load(ByteReader& r);
   /// File-path convenience wrappers.
   void save_file(const std::string& path) const;
   void load_file(const std::string& path);

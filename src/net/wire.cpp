@@ -1,181 +1,15 @@
 #include "net/wire.hpp"
 
-#include <array>
-#include <bit>
 #include <cmath>
-#include <cstring>
 
+#include "common/bytes.hpp"
 #include "common/error.hpp"
 
 namespace scwc::net {
 
 namespace {
 
-// ------------------------------------------------------------- primitives
-
-// On little-endian hosts the wire layout IS the in-memory layout, so
-// scalars and double arrays move with one memcpy; the byte loops remain
-// as the portable big-endian path and produce the same bytes.
-constexpr bool kNativeLittleEndian = std::endian::native == std::endian::little;
-
-/// Append-only little-endian encoder.
-class Writer {
- public:
-  /// `reserve` is a size hint: the exact encoded size where the caller
-  /// knows it, so a large payload is built with a single allocation.
-  explicit Writer(std::size_t reserve = 0) { buf_.reserve(reserve); }
-
-  void u8(std::uint8_t v) { buf_ += static_cast<char>(v); }
-  void u16(std::uint16_t v) { raw(v); }
-  void u32(std::uint32_t v) { raw(v); }
-  void u64(std::uint64_t v) { raw(v); }
-  void i64(std::int64_t v) { raw(static_cast<std::uint64_t>(v)); }
-  void i32(std::int32_t v) { raw(static_cast<std::uint32_t>(v)); }
-  void f64(double v) { raw(std::bit_cast<std::uint64_t>(v)); }
-
-  void string(std::string_view s) {
-    SCWC_REQUIRE(s.size() <= kMaxStringBytes,
-                 "wire encode: string exceeds kMaxStringBytes");
-    u32(static_cast<std::uint32_t>(s.size()));
-    buf_.append(s.data(), s.size());
-  }
-
-  void bytes(std::string_view s) { buf_.append(s.data(), s.size()); }
-
-  void f64_span(std::span<const double> values) {
-    u32(static_cast<std::uint32_t>(values.size()));
-    if constexpr (kNativeLittleEndian) {
-      buf_.append(reinterpret_cast<const char*>(values.data()),
-                  values.size_bytes());
-    } else {
-      for (const double v : values) f64(v);
-    }
-  }
-
-  [[nodiscard]] std::string take() { return std::move(buf_); }
-
- private:
-  template <typename T>
-  void raw(T v) {
-    if constexpr (kNativeLittleEndian) {
-      buf_.append(reinterpret_cast<const char*>(&v), sizeof(T));
-    } else {
-      for (std::size_t i = 0; i < sizeof(T); ++i) {
-        buf_ += static_cast<char>((v >> (8 * i)) & 0xffU);
-      }
-    }
-  }
-
-  std::string buf_;
-};
-
-/// Bounds-checked little-endian decoder; every overrun throws scwc::Error.
-class Reader {
- public:
-  explicit Reader(std::string_view data) : data_(data) {}
-
-  std::uint8_t u8() { return static_cast<std::uint8_t>(take(1)[0]); }
-  std::uint16_t u16() { return raw<std::uint16_t>(); }
-  std::uint32_t u32() { return raw<std::uint32_t>(); }
-  std::uint64_t u64() { return raw<std::uint64_t>(); }
-  std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
-  std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
-  double f64() { return std::bit_cast<double>(u64()); }
-
-  std::string string() {
-    const std::uint32_t n = u32();
-    SCWC_REQUIRE(n <= kMaxStringBytes,
-                 "wire decode: string length exceeds cap");
-    const std::string_view s = take(n);
-    return std::string(s);
-  }
-
-  /// Raw trailing bytes of known length (SwapChunk payload body).
-  std::string bytes(std::size_t n) { return std::string(take(n)); }
-
-  std::vector<double> f64_span(std::size_t cap) {
-    const std::uint32_t n = u32();
-    SCWC_REQUIRE(n <= cap, "wire decode: value array exceeds cap");
-    SCWC_REQUIRE(remaining() >= static_cast<std::size_t>(n) * 8,
-                 "wire decode: truncated value array");
-    std::vector<double> out(n);
-    if constexpr (kNativeLittleEndian) {
-      const std::string_view s = take(out.size() * sizeof(double));
-      std::memcpy(out.data(), s.data(), s.size());
-    } else {
-      for (double& v : out) v = f64();
-    }
-    return out;
-  }
-
-  [[nodiscard]] std::size_t remaining() const noexcept {
-    return data_.size() - pos_;
-  }
-
-  /// Every decode_* ends with this: trailing bytes mean a framing bug (or
-  /// corruption the CRC did not catch), never something to ignore.
-  void expect_end() const {
-    SCWC_REQUIRE(remaining() == 0, "wire decode: trailing bytes in payload");
-  }
-
- private:
-  std::string_view take(std::size_t n) {
-    SCWC_REQUIRE(remaining() >= n, "wire decode: truncated payload");
-    const std::string_view s = data_.substr(pos_, n);
-    pos_ += n;
-    return s;
-  }
-
-  template <typename T>
-  T raw() {
-    const std::string_view s = take(sizeof(T));
-    T v = 0;
-    if constexpr (kNativeLittleEndian) {
-      std::memcpy(&v, s.data(), sizeof(T));
-    } else {
-      for (std::size_t i = 0; i < sizeof(T); ++i) {
-        v |= static_cast<T>(static_cast<unsigned char>(s[i])) << (8 * i);
-      }
-    }
-    return v;
-  }
-
-  std::string_view data_;
-  std::size_t pos_ = 0;
-};
-
-/// Slice-by-8 tables of the reflected IEEE polynomial: table[0] is the
-/// classic bytewise table, table[k][b] advances table[k-1][b] by one more
-/// zero byte, so eight input bytes fold into the CRC with eight lookups.
-using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
-
-constexpr CrcTables make_crc_tables() {
-  CrcTables tables{};
-  for (std::uint32_t i = 0; i < 256; ++i) {
-    std::uint32_t c = i;
-    for (int k = 0; k < 8; ++k) {
-      c = (c & 1U) != 0 ? 0xEDB88320U ^ (c >> 1) : c >> 1;
-    }
-    tables[0][i] = c;
-  }
-  for (std::size_t k = 1; k < tables.size(); ++k) {
-    for (std::size_t i = 0; i < 256; ++i) {
-      const std::uint32_t prev = tables[k - 1][i];
-      tables[k][i] = (prev >> 8) ^ tables[0][prev & 0xffU];
-    }
-  }
-  return tables;
-}
-
-constexpr CrcTables kCrcTables = make_crc_tables();
-
-/// Little-endian 32-bit load; compilers turn it into one load on LE hosts.
-std::uint32_t load_le32(const unsigned char* p) noexcept {
-  return static_cast<std::uint32_t>(p[0]) |
-         static_cast<std::uint32_t>(p[1]) << 8 |
-         static_cast<std::uint32_t>(p[2]) << 16 |
-         static_cast<std::uint32_t>(p[3]) << 24;
-}
+constexpr const char* kDecodeContext = "wire decode";
 
 bool known_frame_type(std::uint16_t t) noexcept {
   return t >= static_cast<std::uint16_t>(FrameType::kHello) &&
@@ -211,29 +45,13 @@ const char* frame_type_name(FrameType type) noexcept {
   return "?";
 }
 
-std::uint32_t crc32(std::string_view data) noexcept {
-  const auto& t = kCrcTables;
-  const auto* p = reinterpret_cast<const unsigned char*>(data.data());
-  std::size_t n = data.size();
-  std::uint32_t c = 0xFFFFFFFFU;
-  for (; n >= 8; p += 8, n -= 8) {
-    const std::uint32_t lo = load_le32(p) ^ c;
-    const std::uint32_t hi = load_le32(p + 4);
-    c = t[7][lo & 0xffU] ^ t[6][(lo >> 8) & 0xffU] ^
-        t[5][(lo >> 16) & 0xffU] ^ t[4][lo >> 24] ^ t[3][hi & 0xffU] ^
-        t[2][(hi >> 8) & 0xffU] ^ t[1][(hi >> 16) & 0xffU] ^ t[0][hi >> 24];
-  }
-  for (; n > 0; ++p, --n) c = t[0][(c ^ *p) & 0xffU] ^ (c >> 8);
-  return c ^ 0xFFFFFFFFU;
-}
-
 std::string encode_frame(FrameType type, std::string_view payload,
                          std::uint16_t version) {
   SCWC_REQUIRE(payload.size() <= kMaxPayloadBytes,
                "wire encode: payload exceeds kMaxPayloadBytes");
   SCWC_REQUIRE(supported_version(version),
                "wire encode: unsupported protocol version");
-  Writer w(kHeaderBytes + payload.size());
+  ByteWriter w(kHeaderBytes + payload.size());
   w.u64(kWireMagic);
   w.u16(version);
   w.u16(static_cast<std::uint16_t>(type));
@@ -247,7 +65,7 @@ std::string encode_frame(FrameType type, std::string_view payload,
 FrameHeader decode_header(std::string_view header) {
   SCWC_REQUIRE(header.size() == kHeaderBytes,
                "wire decode: header must be exactly 24 bytes");
-  Reader r(header);
+  ByteReader r(header, kDecodeContext);
   SCWC_REQUIRE(r.u64() == kWireMagic, "wire decode: bad magic");
   const std::uint16_t version = r.u16();
   SCWC_REQUIRE(supported_version(version),
@@ -284,23 +102,23 @@ Frame decode_frame(std::string_view bytes) {
 // --------------------------------------------------------------- per-type
 
 std::string encode_hello(const HelloFrame& f) {
-  Writer w;
+  ByteWriter w;
   w.u32(f.shard_id);
   w.u32(f.window_steps);
   w.u32(f.sensors);
-  w.string(f.model_version);
+  w.string(f.model_version, kMaxStringBytes);
   return w.take();
 }
 
 HelloFrame decode_hello(std::string_view payload) {
-  Reader r(payload);
+  ByteReader r(payload, kDecodeContext);
   HelloFrame f;
   f.shard_id = r.u32();
   f.window_steps = r.u32();
   f.sensors = r.u32();
   SCWC_REQUIRE(f.window_steps <= kMaxWindowValues && f.sensors <= kMaxSensors,
                "wire decode: hello geometry exceeds caps");
-  f.model_version = r.string();
+  f.model_version = r.string(kMaxStringBytes);
   r.expect_end();
   return f;
 }
@@ -312,13 +130,13 @@ std::string encode_submit_window(const SubmitWindowFrame& f,
   SCWC_REQUIRE(f.values.size() <= kMaxWindowValues,
                "wire encode: window exceeds kMaxWindowValues");
   // request, job, deadline, steps, sensors, value count, values, v2 trace.
-  Writer w(8 + 8 + 8 + 4 + 4 + 4 + f.values.size() * sizeof(double) + 8 + 1);
+  ByteWriter w(8 + 8 + 8 + 4 + 4 + 4 + f.values.size() * sizeof(double) + 8 + 1);
   w.u64(f.request_id);
   w.i64(f.job_id);
   w.u64(f.deadline_ns);
   w.u32(f.steps);
   w.u32(f.sensors);
-  w.f64_span(f.values);
+  w.f64_array(f.values);
   if (version >= 2) {
     w.u64(f.trace_id);
     w.u8(f.trace_sampled ? 1 : 0);
@@ -330,7 +148,7 @@ SubmitWindowFrame decode_submit_window(std::string_view payload,
                                        std::uint16_t version) {
   SCWC_REQUIRE(supported_version(version),
                "wire decode: unsupported protocol version");
-  Reader r(payload);
+  ByteReader r(payload, kDecodeContext);
   SubmitWindowFrame f;
   f.request_id = r.u64();
   f.job_id = r.i64();
@@ -342,7 +160,7 @@ SubmitWindowFrame decode_submit_window(std::string_view payload,
   SCWC_REQUIRE(static_cast<std::uint64_t>(f.steps) * f.sensors <=
                    kMaxWindowValues,
                "wire decode: window geometry exceeds cap");
-  f.values = r.f64_span(kMaxWindowValues);
+  f.values = r.f64_array(kMaxWindowValues);
   SCWC_REQUIRE(f.values.size() ==
                    static_cast<std::size_t>(f.steps) * f.sensors,
                "wire decode: window value count != steps*sensors");
@@ -359,19 +177,19 @@ SubmitWindowFrame decode_submit_window(std::string_view payload,
 std::string encode_telemetry_row(const TelemetryRowFrame& f) {
   SCWC_REQUIRE(f.values.size() <= kMaxSensors,
                "wire encode: row exceeds kMaxSensors");
-  Writer w;
+  ByteWriter w;
   w.i64(f.job_id);
   w.u64(f.step);
-  w.f64_span(f.values);
+  w.f64_array(f.values);
   return w.take();
 }
 
 TelemetryRowFrame decode_telemetry_row(std::string_view payload) {
-  Reader r(payload);
+  ByteReader r(payload, kDecodeContext);
   TelemetryRowFrame f;
   f.job_id = r.i64();
   f.step = r.u64();
-  f.values = r.f64_span(kMaxSensors);
+  f.values = r.f64_array(kMaxSensors);
   r.expect_end();
   return f;
 }
@@ -381,7 +199,7 @@ std::string encode_verdict(const VerdictFrame& f, std::uint16_t version) {
                "wire encode: unsupported protocol version");
   // Ids, five flag bytes, label + batch, two doubles, two counts, the
   // length-prefixed version string and the v2 worker phases.
-  Writer w(3 * 8 + 5 + 2 * 4 + 2 * 8 + 2 * 4 + 4 + f.model_version.size() +
+  ByteWriter w(3 * 8 + 5 + 2 * 4 + 2 * 8 + 2 * 4 + 4 + f.model_version.size() +
            3 * 8);
   w.u64(f.request_id);
   w.u64(f.trace_id);
@@ -397,7 +215,7 @@ std::string encode_verdict(const VerdictFrame& f, std::uint16_t version) {
   w.f64(f.worker_latency_s);
   w.u32(f.missing_values);
   w.u32(f.repaired_values);
-  w.string(f.model_version);
+  w.string(f.model_version, kMaxStringBytes);
   if (version >= 2) {
     w.f64(f.worker_queue_s);
     w.f64(f.worker_transform_s);
@@ -409,7 +227,7 @@ std::string encode_verdict(const VerdictFrame& f, std::uint16_t version) {
 VerdictFrame decode_verdict(std::string_view payload, std::uint16_t version) {
   SCWC_REQUIRE(supported_version(version),
                "wire decode: unsupported protocol version");
-  Reader r(payload);
+  ByteReader r(payload, kDecodeContext);
   VerdictFrame f;
   f.request_id = r.u64();
   f.trace_id = r.u64();
@@ -437,7 +255,7 @@ VerdictFrame decode_verdict(std::string_view payload, std::uint16_t version) {
                "wire decode: negative/non-finite worker latency");
   f.missing_values = r.u32();
   f.repaired_values = r.u32();
-  f.model_version = r.string();
+  f.model_version = r.string(kMaxStringBytes);
   if (version >= 2) {
     f.worker_queue_s = r.f64();
     f.worker_transform_s = r.f64();
@@ -454,13 +272,13 @@ VerdictFrame decode_verdict(std::string_view payload, std::uint16_t version) {
 }
 
 std::string encode_ping(const PingFrame& f) {
-  Writer w;
+  ByteWriter w;
   w.u64(f.nonce);
   return w.take();
 }
 
 PingFrame decode_ping(std::string_view payload) {
-  Reader r(payload);
+  ByteReader r(payload, kDecodeContext);
   PingFrame f;
   f.nonce = r.u64();
   r.expect_end();
@@ -470,7 +288,7 @@ PingFrame decode_ping(std::string_view payload) {
 std::string encode_pong(const PongFrame& f, std::uint16_t version) {
   SCWC_REQUIRE(supported_version(version),
                "wire encode: unsupported protocol version");
-  Writer w;
+  ByteWriter w;
   w.u64(f.nonce);
   if (version >= 2) w.u64(f.t_mono_ns);
   return w.take();
@@ -479,7 +297,7 @@ std::string encode_pong(const PongFrame& f, std::uint16_t version) {
 PongFrame decode_pong(std::string_view payload, std::uint16_t version) {
   SCWC_REQUIRE(supported_version(version),
                "wire decode: unsupported protocol version");
-  Reader r(payload);
+  ByteReader r(payload, kDecodeContext);
   PongFrame f;
   f.nonce = r.u64();
   if (version >= 2) f.t_mono_ns = r.u64();
@@ -490,16 +308,16 @@ PongFrame decode_pong(std::string_view payload, std::uint16_t version) {
 std::string encode_swap_begin(const SwapBeginFrame& f) {
   SCWC_REQUIRE(f.total_bytes <= kMaxSwapBytes,
                "wire encode: bundle exceeds kMaxSwapBytes");
-  Writer w;
-  w.string(f.version);
+  ByteWriter w;
+  w.string(f.version, kMaxStringBytes);
   w.u64(f.total_bytes);
   return w.take();
 }
 
 SwapBeginFrame decode_swap_begin(std::string_view payload) {
-  Reader r(payload);
+  ByteReader r(payload, kDecodeContext);
   SwapBeginFrame f;
-  f.version = r.string();
+  f.version = r.string(kMaxStringBytes);
   f.total_bytes = r.u64();
   SCWC_REQUIRE(f.total_bytes <= kMaxSwapBytes,
                "wire decode: bundle size exceeds cap");
@@ -510,7 +328,7 @@ SwapBeginFrame decode_swap_begin(std::string_view payload) {
 std::string encode_swap_chunk(const SwapChunkFrame& f) {
   SCWC_REQUIRE(f.bytes.size() <= kMaxSwapChunkBytes,
                "wire encode: swap chunk exceeds cap");
-  Writer w;
+  ByteWriter w;
   w.u64(f.offset);
   w.u32(static_cast<std::uint32_t>(f.bytes.size()));
   w.bytes(f.bytes);
@@ -518,7 +336,7 @@ std::string encode_swap_chunk(const SwapChunkFrame& f) {
 }
 
 SwapChunkFrame decode_swap_chunk(std::string_view payload) {
-  Reader r(payload);
+  ByteReader r(payload, kDecodeContext);
   SwapChunkFrame f;
   f.offset = r.u64();
   const std::uint32_t n = r.u32();
@@ -531,13 +349,13 @@ SwapChunkFrame decode_swap_chunk(std::string_view payload) {
 }
 
 std::string encode_swap_commit(const SwapCommitFrame& f) {
-  Writer w;
+  ByteWriter w;
   w.u32(f.crc32);
   return w.take();
 }
 
 SwapCommitFrame decode_swap_commit(std::string_view payload) {
-  Reader r(payload);
+  ByteReader r(payload, kDecodeContext);
   SwapCommitFrame f;
   f.crc32 = r.u32();
   r.expect_end();
@@ -545,75 +363,75 @@ SwapCommitFrame decode_swap_commit(std::string_view payload) {
 }
 
 std::string encode_swap_ack(const SwapAckFrame& f) {
-  Writer w;
+  ByteWriter w;
   w.u8(f.ok ? 1 : 0);
-  w.string(f.active_version);
-  w.string(f.message);
+  w.string(f.active_version, kMaxStringBytes);
+  w.string(f.message, kMaxStringBytes);
   return w.take();
 }
 
 SwapAckFrame decode_swap_ack(std::string_view payload) {
-  Reader r(payload);
+  ByteReader r(payload, kDecodeContext);
   SwapAckFrame f;
   const std::uint8_t ok = r.u8();
   SCWC_REQUIRE(ok <= 1, "wire decode: swap ack ok not boolean");
   f.ok = ok != 0;
-  f.active_version = r.string();
-  f.message = r.string();
+  f.active_version = r.string(kMaxStringBytes);
+  f.message = r.string(kMaxStringBytes);
   r.expect_end();
   return f;
 }
 
 std::string encode_swap_abort(const SwapAbortFrame& f) {
-  Writer w;
-  w.string(f.reason);
+  ByteWriter w;
+  w.string(f.reason, kMaxStringBytes);
   return w.take();
 }
 
 SwapAbortFrame decode_swap_abort(std::string_view payload) {
-  Reader r(payload);
+  ByteReader r(payload, kDecodeContext);
   SwapAbortFrame f;
-  f.reason = r.string();
+  f.reason = r.string(kMaxStringBytes);
   r.expect_end();
   return f;
 }
 
 std::string encode_stats_reply(const StatsReplyFrame& f) {
-  Writer w;
+  ByteWriter w;
   w.u64(f.submitted);
   w.u64(f.answered);
   w.u64(f.abstained);
   w.u64(f.shed);
   w.u64(f.swaps);
-  w.string(f.model_version);
+  w.string(f.model_version, kMaxStringBytes);
   return w.take();
 }
 
 StatsReplyFrame decode_stats_reply(std::string_view payload) {
-  Reader r(payload);
+  ByteReader r(payload, kDecodeContext);
   StatsReplyFrame f;
   f.submitted = r.u64();
   f.answered = r.u64();
   f.abstained = r.u64();
   f.shed = r.u64();
   f.swaps = r.u64();
-  f.model_version = r.string();
+  f.model_version = r.string(kMaxStringBytes);
   r.expect_end();
   return f;
 }
 
 std::string encode_error(const ErrorFrame& f) {
-  Writer w;
+  ByteWriter w;
   w.u16(f.code);
-  w.string(f.message);
+  w.string(f.message, kMaxStringBytes);
   return w.take();
 }
 
 ErrorFrame decode_error(std::string_view payload) {
-  Reader r(payload);
+  ByteReader r(payload, kDecodeContext);
   ErrorFrame f;
   f.code = r.u16();
-  f.message = r.string();
+  f.message = r.string(kMaxStringBytes);
   r.expect_end();
   return f;
 }
@@ -623,20 +441,20 @@ std::string encode_metrics_reply(const MetricsReplyFrame& f) {
                    f.gauges.size() <= kMaxMetricsEntries &&
                    f.rolling.size() <= kMaxMetricsEntries,
                "wire encode: metrics reply exceeds kMaxMetricsEntries");
-  Writer w;
+  ByteWriter w;
   w.u32(static_cast<std::uint32_t>(f.counters.size()));
   for (const auto& [name, value] : f.counters) {
-    w.string(name);
+    w.string(name, kMaxStringBytes);
     w.u64(value);
   }
   w.u32(static_cast<std::uint32_t>(f.gauges.size()));
   for (const auto& [name, value] : f.gauges) {
-    w.string(name);
+    w.string(name, kMaxStringBytes);
     w.f64(value);
   }
   w.u32(static_cast<std::uint32_t>(f.rolling.size()));
   for (const MetricsRollingEntry& e : f.rolling) {
-    w.string(e.name);
+    w.string(e.name, kMaxStringBytes);
     w.u64(e.count);
     w.f64(e.p50);
     w.f64(e.p90);
@@ -646,14 +464,14 @@ std::string encode_metrics_reply(const MetricsReplyFrame& f) {
 }
 
 MetricsReplyFrame decode_metrics_reply(std::string_view payload) {
-  Reader r(payload);
+  ByteReader r(payload, kDecodeContext);
   MetricsReplyFrame f;
   const std::uint32_t n_counters = r.u32();
   SCWC_REQUIRE(n_counters <= kMaxMetricsEntries,
                "wire decode: metrics counters exceed cap");
   f.counters.reserve(n_counters);
   for (std::uint32_t i = 0; i < n_counters; ++i) {
-    std::string name = r.string();
+    std::string name = r.string(kMaxStringBytes);
     const std::uint64_t value = r.u64();
     f.counters.emplace_back(std::move(name), value);
   }
@@ -662,7 +480,7 @@ MetricsReplyFrame decode_metrics_reply(std::string_view payload) {
                "wire decode: metrics gauges exceed cap");
   f.gauges.reserve(n_gauges);
   for (std::uint32_t i = 0; i < n_gauges; ++i) {
-    std::string name = r.string();
+    std::string name = r.string(kMaxStringBytes);
     const double value = r.f64();  // NaN travels intact, like windows
     f.gauges.emplace_back(std::move(name), value);
   }
@@ -672,7 +490,7 @@ MetricsReplyFrame decode_metrics_reply(std::string_view payload) {
   f.rolling.reserve(n_rolling);
   for (std::uint32_t i = 0; i < n_rolling; ++i) {
     MetricsRollingEntry e;
-    e.name = r.string();
+    e.name = r.string(kMaxStringBytes);
     e.count = r.u64();
     e.p50 = r.f64();
     e.p90 = r.f64();

@@ -20,12 +20,13 @@
 // carries the version and the per-type codecs take it as a parameter, so
 // a v1 peer degrades to untraced operation, never to a decode error.
 //
-// Decoding mirrors serve/bundle_io's validation style: every violated
-// bound, bad enum, wrong magic or CRC mismatch throws a typed scwc::Error
-// (never crashes, never allocates unbounded memory — all lengths are capped
-// BEFORE allocation, which the wire fuzz test proves byte by byte).
-// Strings and value arrays are length-prefixed with hard caps; doubles
-// travel as IEEE-754 bit patterns.
+// Encoding and decoding go through the shared byte codec and CRC-32
+// (common/bytes.hpp): every violated bound, bad enum, wrong magic or CRC
+// mismatch throws a typed scwc::Error (never crashes, never allocates
+// unbounded memory — all lengths are capped BEFORE allocation, which the
+// wire fuzz test proves byte by byte). Strings and value arrays are
+// u32-length-prefixed with hard caps; doubles travel as IEEE-754 bit
+// patterns.
 //
 // The codec layer here is pure (bytes in, structs out) and std-only; the
 // socket I/O lives in net/socket.* so the two concerns stay separately
@@ -224,9 +225,6 @@ struct MetricsReplyFrame {
 };
 
 // ------------------------------------------------------------------ codec
-
-/// CRC-32 (IEEE 802.3, reflected, init/xorout 0xFFFFFFFF) over `data`.
-[[nodiscard]] std::uint32_t crc32(std::string_view data) noexcept;
 
 /// Frames `payload` under `type`: header (magic, version, type, length,
 /// CRC) + payload. Throws scwc::Error when payload exceeds the cap or the

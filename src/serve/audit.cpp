@@ -1,6 +1,7 @@
 #include "serve/audit.hpp"
 
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace scwc::serve {
@@ -193,6 +194,58 @@ std::uint64_t AuditLogger::records_written() const {
 bool AuditLogger::ok() const {
   const scwc::LockGuard lock(mutex_);
   return ok_;
+}
+
+void record_verdict(const VerdictOrigin& origin, const ServeResult& result,
+                    obs::RequestTracer& tracer, AuditLogger* audit) {
+  if (!origin.sampled && audit == nullptr) return;
+  const std::string event = !result.accepted               ? "shed"
+                            : result.prediction.abstained ? "abstain"
+                                                          : "answer";
+
+  if (origin.sampled) {
+    obs::RequestTraceRecord rec;
+    rec.trace_id = origin.trace_id;
+    rec.job_id = origin.job_id;
+    rec.start_s = tracer.since_epoch(origin.started);
+    rec.phases = result.phases;
+    rec.outcome = event;
+    if (event == "shed") {
+      rec.outcome += std::string(":") + reject_reason_name(result.reject_reason);
+    } else if (event == "abstain") {
+      rec.outcome +=
+          std::string(":") + robust::abstain_reason_name(result.prediction.reason);
+    }
+    rec.model_version = result.model_version;
+    rec.batch_size = result.batch_size;
+    rec.degrade_level = result.degrade_level;
+    tracer.record(std::move(rec));
+  }
+
+  if (audit != nullptr) {
+    AuditRecord rec;
+    rec.trace_id = origin.trace_id;
+    rec.job_id = origin.job_id;
+    rec.event = event;
+    rec.model_version = result.model_version;
+    rec.label = result.prediction.label;
+    rec.degrade_level = result.degrade_level;
+    rec.batch_size = result.batch_size;
+    if (event == "abstain") {
+      rec.abstain_reason = robust::abstain_reason_name(result.prediction.reason);
+    }
+    if (event == "shed") {
+      rec.reject_reason = reject_reason_name(result.reject_reason);
+    } else {
+      rec.quality = result.prediction.report.quality();
+      rec.missing_values = result.prediction.report.missing_values;
+      rec.repaired_values = result.prediction.report.repaired_values;
+    }
+    rec.phases = result.phases;
+    rec.deadline_slack_s = origin.deadline_slack_s;
+    rec.shard_id = origin.shard_id;
+    audit->log(rec);
+  }
 }
 
 }  // namespace scwc::serve

@@ -46,6 +46,7 @@
 
 #include "obs/json.hpp"
 #include "obs/request_trace.hpp"
+#include "serve/serve_types.hpp"
 
 namespace scwc::serve {
 
@@ -97,5 +98,23 @@ class AuditLogger {
   std::uint64_t written_ SCWC_GUARDED_BY(mutex_) = 0;
   bool ok_ SCWC_GUARDED_BY(mutex_) = true;
 };
+
+/// Who asked, and when, for one finished request.
+struct VerdictOrigin {
+  std::uint64_t trace_id = 0;
+  bool sampled = false;  ///< the request trace is kept
+  std::int64_t job_id = -1;
+  obs::RequestTracer::Clock::time_point started;
+  std::optional<double> deadline_slack_s;  ///< set iff a deadline existed
+  std::optional<std::uint32_t> shard_id;   ///< set iff routed over SCWCWIRE
+};
+
+/// The one verdict tap of ClassificationService and ShardRouter: keeps the
+/// request trace in `tracer` when `origin.sampled`, and logs the audit
+/// record to `audit` when it is non-null (neither: no work). Both records
+/// take outcome, phases (router-side ones include the wire phases), model
+/// version and quality evidence from `result`.
+void record_verdict(const VerdictOrigin& origin, const ServeResult& result,
+                    obs::RequestTracer& tracer, AuditLogger* audit);
 
 }  // namespace scwc::serve

@@ -1,12 +1,12 @@
 #include "serve/bundle_io.hpp"
 
-#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <fstream>
 #include <functional>
 #include <utility>
 
+#include "common/bytes.hpp"
 #include "common/error.hpp"
 #include "common/log.hpp"
 #include "obs/metrics.hpp"
@@ -18,79 +18,89 @@ namespace {
 // "SCWCBNDL" — distinct from the forest's own magic, which follows inside.
 constexpr std::uint64_t kBundleMagic = 0x53435743424e444cULL;
 constexpr std::uint64_t kFormatVersion = 1;
+constexpr const char* kDecodeContext = "load_bundle";
 
-void write_u64(std::ostream& os, std::uint64_t v) {
-  unsigned char bytes[8];
-  for (int i = 0; i < 8; ++i) {
-    bytes[i] = static_cast<unsigned char>((v >> (8 * i)) & 0xffU);
-  }
-  os.write(reinterpret_cast<const char*>(bytes), 8);
+// Length caps bound what a corrupted stream can make the loader allocate;
+// the reader then checks each length against the bytes that remain, so a
+// flipped length or shape fails typed before anything is allocated (the
+// fuzz test flips every byte of a valid bundle).
+constexpr std::uint64_t kMaxStringBytes = 1ULL << 16;
+constexpr std::uint64_t kMaxVectorValues = 1ULL << 24;
+constexpr std::uint64_t kMaxMatrixDim = 1ULL << 20;
+constexpr std::uint64_t kMaxMatrixValues = 1ULL << 26;
+
+linalg::Vector read_vec(ByteReader& r) {
+  return r.f64_array<std::uint64_t>(kMaxVectorValues, "vector");
 }
 
-std::uint64_t read_u64(std::istream& is) {
-  unsigned char bytes[8];
-  is.read(reinterpret_cast<char*>(bytes), 8);
-  SCWC_REQUIRE(is.good(), "load_bundle: truncated stream");
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<std::uint64_t>(bytes[i]) << (8 * i);
-  }
-  return v;
-}
-
-void write_f64(std::ostream& os, double v) {
-  write_u64(os, std::bit_cast<std::uint64_t>(v));
-}
-
-double read_f64(std::istream& is) {
-  return std::bit_cast<double>(read_u64(is));
-}
-
-void write_string(std::ostream& os, const std::string& s) {
-  write_u64(os, s.size());
-  os.write(s.data(), static_cast<std::streamsize>(s.size()));
-}
-
-// Length caps bound what a corrupted stream can make load_bundle allocate
-// before a truncation/validation error fires (the fuzz test flips every
-// byte of a valid bundle; a flipped length must fail typed, not OOM).
-std::string read_string(std::istream& is) {
-  const std::uint64_t n = read_u64(is);
-  SCWC_REQUIRE(n <= (1ULL << 16), "load_bundle: implausible string length");
-  std::string s(n, '\0');
-  is.read(s.data(), static_cast<std::streamsize>(n));
-  SCWC_REQUIRE(is.good() || n == 0, "load_bundle: truncated string");
-  return s;
-}
-
-void write_vec(std::ostream& os, const linalg::Vector& v) {
-  write_u64(os, v.size());
-  for (const double x : v) write_f64(os, x);
-}
-
-linalg::Vector read_vec(std::istream& is) {
-  const std::uint64_t n = read_u64(is);
-  SCWC_REQUIRE(n <= (1ULL << 24), "load_bundle: implausible vector length");
-  linalg::Vector v(n);
-  for (auto& x : v) x = read_f64(is);
-  return v;
-}
-
-void write_matrix(std::ostream& os, const linalg::Matrix& m) {
-  write_u64(os, m.rows());
-  write_u64(os, m.cols());
-  for (const double x : m.flat()) write_f64(os, x);
-}
-
-linalg::Matrix read_matrix(std::istream& is) {
-  const std::uint64_t rows = read_u64(is);
-  const std::uint64_t cols = read_u64(is);
-  SCWC_REQUIRE(rows <= (1ULL << 20) && cols <= (1ULL << 20) &&
-                   rows * cols <= (1ULL << 26),
+linalg::Matrix read_matrix(ByteReader& r) {
+  const std::uint64_t rows = r.u64("matrix rows");
+  const std::uint64_t cols = r.u64("matrix cols");
+  SCWC_REQUIRE(rows <= kMaxMatrixDim && cols <= kMaxMatrixDim &&
+                   rows * cols <= kMaxMatrixValues,
                "load_bundle: implausible matrix shape");
+  r.need(rows * cols, sizeof(double), "matrix");
   linalg::Matrix m(rows, cols);
-  for (auto& x : m.flat()) x = read_f64(is);
+  r.f64s(m.flat(), "matrix");
   return m;
+}
+
+std::shared_ptr<const ModelBundle> decode_bundle(ByteReader& r) {
+  SCWC_REQUIRE(r.u64("magic") == kBundleMagic, "load_bundle: bad magic");
+  SCWC_REQUIRE(r.u64("format version") == kFormatVersion,
+               "load_bundle: unsupported format version");
+  std::string version =
+      r.string<std::uint64_t>(kMaxStringBytes, "version string");
+
+  robust::GuardedConfig guard;
+  guard.window_steps = r.u64("window steps");
+  guard.sensors = r.u64("sensors");
+  guard.min_quality = r.f64("min quality");
+  guard.fallback_label = static_cast<int>(r.i64("fallback label"));
+  const std::uint64_t policy = r.u64("imputation policy");
+  SCWC_REQUIRE(policy <= static_cast<std::uint64_t>(
+                             robust::Imputation::kPriorMean),
+               "load_bundle: unknown imputation policy");
+  guard.imputation.policy = static_cast<robust::Imputation>(policy);
+  guard.imputation.sensor_prior_means = read_vec(r);
+  SCWC_REQUIRE(std::isfinite(guard.min_quality),
+               "load_bundle: non-finite min_quality");
+
+  preprocess::FeaturePipelineConfig pipeline_config;
+  const std::uint64_t reduction = r.u64("reduction");
+  SCWC_REQUIRE(
+      reduction <= static_cast<std::uint64_t>(preprocess::Reduction::kNone),
+      "load_bundle: unknown reduction");
+  pipeline_config.reduction = static_cast<preprocess::Reduction>(reduction);
+  pipeline_config.pca_components = r.u64("pca components");
+  const std::size_t steps = r.u64("pipeline steps");
+  const std::size_t sensors = r.u64("pipeline sensors");
+  linalg::Vector scaler_means = read_vec(r);   // sequence the two reads —
+  linalg::Vector scaler_scales = read_vec(r);  // argument order is unspecified
+  preprocess::StandardScaler scaler = preprocess::StandardScaler::restore(
+      std::move(scaler_means), std::move(scaler_scales));
+  std::optional<preprocess::Pca> pca;
+  if (r.u64("pca flag") != 0) {
+    linalg::Vector mean = read_vec(r);
+    linalg::Matrix components = read_matrix(r);
+    linalg::Vector variance = read_vec(r);
+    linalg::Vector ratio = read_vec(r);
+    pca = preprocess::Pca::restore(std::move(mean), std::move(components),
+                                   std::move(variance), std::move(ratio));
+  }
+  preprocess::FeaturePipeline pipeline = preprocess::FeaturePipeline::restore(
+      pipeline_config, steps, sensors, std::move(scaler), std::move(pca));
+
+  const std::string tag = r.string<std::uint64_t>(kMaxStringBytes, "model tag");
+  SCWC_REQUIRE(tag == "RandomForest",
+               "load_bundle: unsupported model tag: " + tag);
+  auto forest = std::make_unique<ml::RandomForest>();
+  forest->load(r);
+
+  SCWC_REQUIRE(guard.window_steps == steps && guard.sensors == sensors,
+               "load_bundle: guard/pipeline geometry mismatch");
+  return std::make_shared<const ModelBundle>(
+      std::move(version), std::move(pipeline), std::move(forest), guard);
 }
 
 }  // namespace
@@ -101,38 +111,40 @@ void save_bundle(const ModelBundle& bundle, std::ostream& os) {
                "save_bundle: only RandomForest bundles are serialisable, got " +
                    bundle.model().name());
 
-  write_u64(os, kBundleMagic);
-  write_u64(os, kFormatVersion);
-  write_string(os, bundle.version());
+  ByteWriter w(os);
+  w.u64(kBundleMagic);
+  w.u64(kFormatVersion);
+  w.string<std::uint64_t>(bundle.version());
 
   const robust::GuardedConfig& guard = bundle.guard_config();
-  write_u64(os, guard.window_steps);
-  write_u64(os, guard.sensors);
-  write_f64(os, guard.min_quality);
-  write_u64(os, static_cast<std::uint64_t>(
-                    static_cast<std::int64_t>(guard.fallback_label)));
-  write_u64(os, static_cast<std::uint64_t>(guard.imputation.policy));
-  write_vec(os, guard.imputation.sensor_prior_means);
+  w.u64(guard.window_steps);
+  w.u64(guard.sensors);
+  w.f64(guard.min_quality);
+  w.i64(guard.fallback_label);
+  w.u64(static_cast<std::uint64_t>(guard.imputation.policy));
+  w.f64_array<std::uint64_t>(guard.imputation.sensor_prior_means);
 
   const preprocess::FeaturePipeline& pipeline = bundle.pipeline();
-  write_u64(os, static_cast<std::uint64_t>(pipeline.config().reduction));
-  write_u64(os, pipeline.config().pca_components);
-  write_u64(os, pipeline.steps());
-  write_u64(os, pipeline.sensors());
-  write_vec(os, pipeline.scaler().means());
-  write_vec(os, pipeline.scaler().scales());
-  write_u64(os, pipeline.pca().has_value() ? 1 : 0);
+  w.u64(static_cast<std::uint64_t>(pipeline.config().reduction));
+  w.u64(pipeline.config().pca_components);
+  w.u64(pipeline.steps());
+  w.u64(pipeline.sensors());
+  w.f64_array<std::uint64_t>(pipeline.scaler().means());
+  w.f64_array<std::uint64_t>(pipeline.scaler().scales());
+  w.u64(pipeline.pca().has_value() ? 1 : 0);
   if (pipeline.pca().has_value()) {
     const preprocess::Pca& pca = *pipeline.pca();
-    write_vec(os, pca.mean());
-    write_matrix(os, pca.components_matrix());
-    write_vec(os, pca.explained_variance());
-    write_vec(os, pca.explained_variance_ratio());
+    w.f64_array<std::uint64_t>(pca.mean());
+    w.u64(pca.components_matrix().rows());
+    w.u64(pca.components_matrix().cols());
+    w.f64s(pca.components_matrix().flat());
+    w.f64_array<std::uint64_t>(pca.explained_variance());
+    w.f64_array<std::uint64_t>(pca.explained_variance_ratio());
   }
 
-  write_string(os, forest->name());
-  forest->save(os);
-  SCWC_REQUIRE(os.good(), "save_bundle: stream write failed");
+  w.string<std::uint64_t>(forest->name());
+  forest->save(w);
+  w.finish();
 }
 
 void save_bundle_file(const ModelBundle& bundle, const std::string& path) {
@@ -142,61 +154,13 @@ void save_bundle_file(const ModelBundle& bundle, const std::string& path) {
 }
 
 std::shared_ptr<const ModelBundle> load_bundle(std::istream& is) {
-  SCWC_REQUIRE(read_u64(is) == kBundleMagic, "load_bundle: bad magic");
-  SCWC_REQUIRE(read_u64(is) == kFormatVersion,
-               "load_bundle: unsupported format version");
-  std::string version = read_string(is);
+  ByteReader r(is, kDecodeContext);
+  return decode_bundle(r);
+}
 
-  robust::GuardedConfig guard;
-  guard.window_steps = read_u64(is);
-  guard.sensors = read_u64(is);
-  guard.min_quality = read_f64(is);
-  guard.fallback_label =
-      static_cast<int>(static_cast<std::int64_t>(read_u64(is)));
-  const std::uint64_t policy = read_u64(is);
-  SCWC_REQUIRE(policy <= static_cast<std::uint64_t>(
-                             robust::Imputation::kPriorMean),
-               "load_bundle: unknown imputation policy");
-  guard.imputation.policy = static_cast<robust::Imputation>(policy);
-  guard.imputation.sensor_prior_means = read_vec(is);
-  SCWC_REQUIRE(std::isfinite(guard.min_quality),
-               "load_bundle: non-finite min_quality");
-
-  preprocess::FeaturePipelineConfig pipeline_config;
-  const std::uint64_t reduction = read_u64(is);
-  SCWC_REQUIRE(
-      reduction <= static_cast<std::uint64_t>(preprocess::Reduction::kNone),
-      "load_bundle: unknown reduction");
-  pipeline_config.reduction = static_cast<preprocess::Reduction>(reduction);
-  pipeline_config.pca_components = read_u64(is);
-  const std::size_t steps = read_u64(is);
-  const std::size_t sensors = read_u64(is);
-  linalg::Vector scaler_means = read_vec(is);   // sequence the two reads —
-  linalg::Vector scaler_scales = read_vec(is);  // argument order is unspecified
-  preprocess::StandardScaler scaler = preprocess::StandardScaler::restore(
-      std::move(scaler_means), std::move(scaler_scales));
-  std::optional<preprocess::Pca> pca;
-  if (read_u64(is) != 0) {
-    linalg::Vector mean = read_vec(is);
-    linalg::Matrix components = read_matrix(is);
-    linalg::Vector variance = read_vec(is);
-    linalg::Vector ratio = read_vec(is);
-    pca = preprocess::Pca::restore(std::move(mean), std::move(components),
-                                   std::move(variance), std::move(ratio));
-  }
-  preprocess::FeaturePipeline pipeline = preprocess::FeaturePipeline::restore(
-      pipeline_config, steps, sensors, std::move(scaler), std::move(pca));
-
-  const std::string tag = read_string(is);
-  SCWC_REQUIRE(tag == "RandomForest",
-               "load_bundle: unsupported model tag: " + tag);
-  auto forest = std::make_unique<ml::RandomForest>();
-  forest->load(is);
-
-  SCWC_REQUIRE(guard.window_steps == steps && guard.sensors == sensors,
-               "load_bundle: guard/pipeline geometry mismatch");
-  return std::make_shared<const ModelBundle>(
-      std::move(version), std::move(pipeline), std::move(forest), guard);
+std::shared_ptr<const ModelBundle> load_bundle_bytes(std::string_view bytes) {
+  ByteReader r(bytes, kDecodeContext);
+  return decode_bundle(r);
 }
 
 std::shared_ptr<const ModelBundle> load_bundle_file(const std::string& path) {
@@ -242,9 +206,9 @@ std::shared_ptr<const ModelBundle> try_swap(
 
 }  // namespace
 
-std::shared_ptr<const ModelBundle> try_swap_from_stream(ModelRegistry& registry,
-                                                        std::istream& is) {
-  return try_swap(registry, [&is] { return load_bundle(is); });
+std::shared_ptr<const ModelBundle> try_swap_from_bytes(ModelRegistry& registry,
+                                                       std::string_view bytes) {
+  return try_swap(registry, [bytes] { return load_bundle_bytes(bytes); });
 }
 
 std::shared_ptr<const ModelBundle> try_swap_from_file(ModelRegistry& registry,

@@ -1,4 +1,5 @@
-// Tests for the .npz exporter: CRC32 vectors, NPY headers, ZIP structure.
+// Tests for the .npz exporter: CRC32 vectors (the shared common/bytes.hpp
+// checksum the ZIP container needs), NPY headers, ZIP structure.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -6,6 +7,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "common/bytes.hpp"
 #include "common/error.hpp"
 #include "data/npz.hpp"
 #include "telemetry/architectures.hpp"
@@ -13,9 +15,7 @@
 namespace scwc::data {
 namespace {
 
-std::vector<std::uint8_t> bytes_of(std::string_view s) {
-  return {s.begin(), s.end()};
-}
+std::string bytes_of(std::string_view s) { return std::string(s); }
 
 TEST(Crc32, KnownVectors) {
   // Standard test vectors for CRC-32/IEEE.
@@ -26,23 +26,29 @@ TEST(Crc32, KnownVectors) {
 }
 
 TEST(Crc32, IncrementalMatchesOneShot) {
-  const auto all = bytes_of("hello, npz world");
+  const std::string all = bytes_of("hello, npz world");
   const std::uint32_t one_shot = crc32(all);
-  // CRC of the concatenation is not simply chained through `seed`, but a
-  // re-run over the same data must agree.
   EXPECT_EQ(crc32(all), one_shot);
+  // `seed` continues a previous result, so every split of the input chains
+  // to the one-shot value (across the 8-byte slicing stride too).
+  const std::string_view v(all);
+  for (std::size_t cut = 0; cut <= v.size(); ++cut) {
+    EXPECT_EQ(crc32(v.substr(cut), crc32(v.substr(0, cut))), one_shot)
+        << "cut " << cut;
+  }
 }
 
 TEST(Npy, HeaderIsWellFormedAndAligned) {
   const std::vector<double> values{1.0, 2.0, 3.0, 4.0, 5.0, 6.0};
   const auto npy = npy_from_doubles(values, {2, 3});
   ASSERT_GT(npy.size(), 10u);
-  EXPECT_EQ(npy[0], 0x93);
+  EXPECT_EQ(static_cast<unsigned char>(npy[0]), 0x93);
   EXPECT_EQ(std::memcmp(npy.data() + 1, "NUMPY", 5), 0);
   EXPECT_EQ(npy[6], 1);  // v1.0
   EXPECT_EQ(npy[7], 0);
   const std::size_t header_len =
-      npy[8] | (static_cast<std::size_t>(npy[9]) << 8);
+      static_cast<unsigned char>(npy[8]) |
+      (static_cast<std::size_t>(static_cast<unsigned char>(npy[9])) << 8);
   EXPECT_EQ((10 + header_len) % 64, 0u);  // spec: 64-byte alignment
   const std::string header(npy.begin() + 10,
                            npy.begin() + 10 + static_cast<long>(header_len));
@@ -60,7 +66,8 @@ TEST(Npy, HeaderIsWellFormedAndAligned) {
 TEST(Npy, OneDimensionalShapeHasTrailingComma) {
   const auto npy = npy_from_labels(std::vector<int>{7, 8, 9});
   const std::size_t header_len =
-      npy[8] | (static_cast<std::size_t>(npy[9]) << 8);
+      static_cast<unsigned char>(npy[8]) |
+      (static_cast<std::size_t>(static_cast<unsigned char>(npy[9])) << 8);
   const std::string header(npy.begin() + 10,
                            npy.begin() + 10 + static_cast<long>(header_len));
   EXPECT_NE(header.find("(3,)"), std::string::npos);
@@ -74,13 +81,14 @@ TEST(Npy, OneDimensionalShapeHasTrailingComma) {
 TEST(Npy, StringsAreFixedWidthUtf32) {
   const auto npy = npy_from_strings({"VGG11", "Bert"});
   const std::size_t header_len =
-      npy[8] | (static_cast<std::size_t>(npy[9]) << 8);
+      static_cast<unsigned char>(npy[8]) |
+      (static_cast<std::size_t>(static_cast<unsigned char>(npy[9])) << 8);
   const std::string header(npy.begin() + 10,
                            npy.begin() + 10 + static_cast<long>(header_len));
   EXPECT_NE(header.find("'<U32'"), std::string::npos);
   EXPECT_EQ(npy.size(), 10 + header_len + 2 * 32 * 4);
   // 'V' encoded as a UTF-32LE code unit.
-  const std::uint8_t* payload = npy.data() + 10 + header_len;
+  const char* payload = npy.data() + 10 + header_len;
   EXPECT_EQ(payload[0], 'V');
   EXPECT_EQ(payload[1], 0);
   EXPECT_EQ(payload[2], 0);

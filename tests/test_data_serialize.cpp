@@ -8,7 +8,9 @@
 #include <string>
 
 #include "common/error.hpp"
+#include "data/npz.hpp"
 #include "data/serialize.hpp"
+#include "fuzz_bytes.hpp"
 #include "telemetry/architectures.hpp"
 
 namespace scwc::data {
@@ -191,6 +193,56 @@ TEST(Scb, RejectsLabelCountMismatch) {
   std::stringstream buffer(bytes);
   const std::string what = error_message(buffer);
   EXPECT_NE(what.find("label count mismatch"), std::string::npos) << what;
+}
+
+// ------------------------------------------------ recorded layouts + fuzz
+//
+// .scb caches and .npz releases written by earlier builds must keep their
+// exact bytes. The fingerprints were recorded from the per-format encoders
+// that preceded the shared byte codec (common/bytes.hpp).
+
+std::string scb_bytes(const ChallengeDataset& ds) {
+  std::stringstream buffer;
+  write_scb(ds, buffer);
+  return buffer.str();
+}
+
+ChallengeDataset read_scb_bytes(const std::string& bytes) {
+  std::stringstream in(bytes);
+  return read_scb(in);
+}
+
+TEST(Scb, WriteBytesMatchTheRecordedFingerprint) {
+  const std::string bytes = scb_bytes(tiny_dataset());
+  EXPECT_EQ(bytes.size(), 607u);
+  EXPECT_EQ(bytes_test::fnv1a64(bytes), 0x81c0215c32572a8cULL);
+}
+
+TEST(Npz, SaveBytesMatchTheRecordedFingerprint) {
+  const auto path =
+      std::filesystem::temp_directory_path() / "scwc_fingerprint_tiny.npz";
+  save_npz(tiny_dataset(), path);
+  std::ifstream is(path, std::ios::binary);
+  const std::string bytes((std::istreambuf_iterator<char>(is)),
+                          std::istreambuf_iterator<char>());
+  is.close();
+  std::filesystem::remove(path);
+  EXPECT_EQ(bytes.size(), 2492u);
+  EXPECT_EQ(bytes_test::fnv1a64(bytes), 0xd41be0532f289fedULL);
+}
+
+TEST(Scb, FuzzByteFlipAtEveryOffsetFailsTypedOrLoadsClean) {
+  const std::string bytes = scb_bytes(tiny_dataset());
+  const bytes_test::FlipTally tally =
+      bytes_test::fuzz_every_flip(bytes, read_scb_bytes);
+  // Magic, counts, dimensions, labels and names must actually reject.
+  EXPECT_GT(tally.rejected, tally.attempts / 4)
+      << tally.rejected << " of " << tally.attempts;
+}
+
+TEST(Scb, FuzzTruncationAtEveryOffsetThrowsTyped) {
+  bytes_test::expect_every_truncation_throws(scb_bytes(tiny_dataset()),
+                                             read_scb_bytes, "scb");
 }
 
 TEST(CsvExport, WritesHeaderAndRows) {

@@ -619,14 +619,54 @@ TEST(LintRules, NetNonDeltaDurationsStayClean) {
                      "no-raw-chrono-timing"));
 }
 
+// ---------------------------------------------------- no-byte-shift-codec
+
+TEST(LintRules, ByteShiftCodecFiresInLibraryCodeOutsideTheCodec) {
+  EXPECT_TRUE(fired(lint("src/serve/bundle_io.cpp",
+                         "bytes[i] = static_cast<char>((v >> (8 * i)) & 0xff);\n"),
+                    "no-byte-shift-codec"));
+  EXPECT_TRUE(fired(lint("src/data/serialize.cpp",
+                         "v |= static_cast<std::uint64_t>(b[i]) << (8 * i);\n"),
+                    "no-byte-shift-codec"));
+  // Any spacing: the compact spelling is the same loop.
+  EXPECT_TRUE(fired(lint("src/net/wire.hpp", "out += char(v>>(8*k));\n"),
+                    "no-byte-shift-codec"));
+}
+
+TEST(LintRules, ByteShiftCodecExemptsTheCodecAndNonLibraryCode) {
+  const std::string loop = "buf += static_cast<char>((v >> (8 * i)) & 0xffU);\n";
+  EXPECT_FALSE(fired(lint("src/common/bytes.hpp", loop),
+                     "no-byte-shift-codec"));
+  EXPECT_FALSE(fired(lint("src/common/bytes.cpp", loop),
+                     "no-byte-shift-codec"));
+  // Tests hand-build byte layouts to check the codec against.
+  EXPECT_FALSE(fired(lint("tests/test_foo.cpp", loop), "no-byte-shift-codec"));
+}
+
+TEST(LintRules, ByteShiftCodecIgnoresOtherShiftsCommentsAndSuppressions) {
+  EXPECT_FALSE(fired(lint("src/foo.cpp",
+                          "const std::uint32_t x = p[1] << 8 | p[2] << 16;\n"
+                          "const auto y = v >> 8;\n"
+                          "os << (8 + n);\n"),
+                     "no-byte-shift-codec"));
+  EXPECT_FALSE(fired(lint("src/foo.cpp",
+                          "// v >> (8 * i) would be a hand-rolled codec\n"),
+                     "no-byte-shift-codec"));
+  EXPECT_FALSE(fired(lint("src/foo.cpp",
+                          "x = v >> (8 * i);"
+                          "  // scwc-lint: allow(no-byte-shift-codec)\n"),
+                     "no-byte-shift-codec"));
+}
+
 TEST(LintRules, RuleNamesAreStable) {
   const auto& names = rule_names();
-  EXPECT_EQ(names.size(), 12u);
+  EXPECT_EQ(names.size(), 13u);
   for (const std::string_view expected :
        {"no-raw-rand", "no-stdout-in-lib", "no-raw-getenv", "pragma-once",
         "no-float-eq", "no-naked-new", "no-unchecked-future-get",
         "no-raw-chrono-timing", "no-raw-std-mutex", "guarded-field-coverage",
-        "no-lock-across-blocking-call", "no-raw-socket-calls"}) {
+        "no-lock-across-blocking-call", "no-raw-socket-calls",
+        "no-byte-shift-codec"}) {
     EXPECT_TRUE(std::find(names.begin(), names.end(), expected) !=
                 names.end())
         << expected;

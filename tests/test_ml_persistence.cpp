@@ -9,6 +9,7 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "fuzz_bytes.hpp"
 #include "ml/metrics.hpp"
 #include "ml/random_forest.hpp"
 
@@ -136,15 +137,6 @@ TEST(Persistence, SaveBeforeFitThrows) {
 // keep producing the same bytes, or bundles already written elsewhere would
 // no longer match what this build writes.
 
-std::uint64_t fnv1a(const std::string& bytes) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
 std::string saved_bytes(const RandomForest& forest) {
   std::stringstream buffer;
   forest.save(buffer);
@@ -159,7 +151,7 @@ TEST(Persistence, SaveBytesMatchTheRecordedLayout) {
   pure.fit(x, y);
   const std::string pure_bytes = saved_bytes(pure);
   EXPECT_EQ(pure_bytes.size(), 12536u);
-  EXPECT_EQ(fnv1a(pure_bytes), 1908206968134899831ULL);
+  EXPECT_EQ(bytes_test::fnv1a64(pure_bytes), 1908206968134899831ULL);
 
   RandomForestConfig config;
   config.n_estimators = 9;
@@ -168,13 +160,46 @@ TEST(Persistence, SaveBytesMatchTheRecordedLayout) {
   impure.fit(x, y);
   const std::string impure_bytes = saved_bytes(impure);
   EXPECT_EQ(impure_bytes.size(), 7360u);
-  EXPECT_EQ(fnv1a(impure_bytes), 7561247615936941099ULL);
+  EXPECT_EQ(bytes_test::fnv1a64(impure_bytes), 7561247615936941099ULL);
 
   // save -> load -> save is the identity on the bytes.
   std::stringstream in(impure_bytes);
   RandomForest restored;
   restored.load(in);
   EXPECT_EQ(saved_bytes(restored), impure_bytes);
+}
+
+// Every single-byte flip of a small SCWC_RF1 stream either loads a forest
+// or throws scwc::Error, and every truncation throws.
+std::string small_forest_bytes() {
+  Matrix x;
+  std::vector<int> y;
+  make_blobs(15, 3, 3, x, y, 6);
+  RandomForestConfig config;
+  config.n_estimators = 2;
+  config.tree.max_depth = 3;
+  RandomForest forest(config);
+  forest.fit(x, y);
+  return saved_bytes(forest);
+}
+
+void load_forest(const std::string& bytes) {
+  std::stringstream in(bytes);
+  RandomForest forest;
+  forest.load(in);
+}
+
+TEST(Persistence, FuzzByteFlipAtEveryOffsetFailsTypedOrLoadsClean) {
+  const std::string bytes = small_forest_bytes();
+  const bytes_test::FlipTally tally =
+      bytes_test::fuzz_every_flip(bytes, load_forest);
+  // Magic, counts, child indices and fraction counts must actually reject.
+  EXPECT_GT(tally.rejected, 0u);
+}
+
+TEST(Persistence, FuzzTruncationAtEveryOffsetThrowsTyped) {
+  bytes_test::expect_every_truncation_throws(small_forest_bytes(),
+                                             load_forest, "SCWC_RF1");
 }
 
 TEST(Persistence, RestoredForestPredictsBitIdentically) {

@@ -15,7 +15,9 @@
 #include <string>
 #include <vector>
 
+#include "common/bytes.hpp"
 #include "common/error.hpp"
+#include "fuzz_bytes.hpp"
 #include "net/wire.hpp"
 
 namespace scwc::net {
@@ -407,14 +409,7 @@ TEST(WireCodec, FrameTypeNamesAreStable) {
 // pinned by the standard check value and by a bitwise reference, and whole
 // frames by FNV-1a fingerprints recorded from the byte-at-a-time codec.
 
-std::uint64_t fnv1a64(std::string_view bytes) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
+using bytes_test::fnv1a64;
 
 /// Bit-at-a-time CRC-32 (IEEE 802.3, reflected): no tables, no slicing.
 std::uint32_t crc32_bitwise(std::string_view data) {
@@ -697,35 +692,20 @@ bool decode_fully(const std::string& bytes) {
 
 TEST(WireFuzz, EveryByteFlipOfEveryFrameTypeIsTypedOrClean) {
   for (const auto& [name, bytes] : corpus()) {
-    std::size_t rejected = 0;
-    for (std::size_t i = 0; i < bytes.size(); ++i) {
-      for (const unsigned char mask : {0x01, 0x80, 0xff, 0xa5}) {
-        std::string mutated = bytes;
-        mutated[i] = static_cast<char>(mutated[i] ^ mask);
-        try {
-          (void)decode_fully(mutated);
-        } catch (const Error&) {
-          ++rejected;  // typed rejection is the expected outcome
-        }
-        // Any other exception (bad_alloc from an uncapped length,
-        // out_of_range from unchecked indexing) escapes and fails the test.
-      }
-    }
+    const bytes_test::FlipTally tally =
+        bytes_test::fuzz_every_flip(bytes, decode_fully);
     // A flip can land in a don't-care position (e.g. a value byte that
     // still decodes to a finite double), but the CRC must catch the vast
     // majority; a frame where corruption is mostly accepted is broken.
-    EXPECT_GT(rejected, bytes.size() * 2)
-        << name << ": only " << rejected << " of " << bytes.size() * 4
+    EXPECT_GT(tally.rejected, bytes.size() * 2)
+        << name << ": only " << tally.rejected << " of " << tally.attempts
         << " corruptions rejected";
   }
 }
 
 TEST(WireFuzz, EveryTruncationThrows) {
   for (const auto& [name, bytes] : corpus()) {
-    for (std::size_t len = 0; len < bytes.size(); ++len) {
-      EXPECT_THROW((void)decode_fully(bytes.substr(0, len)), Error)
-          << name << " truncated to " << len << " bytes";
-    }
+    bytes_test::expect_every_truncation_throws(bytes, decode_fully, name);
   }
 }
 

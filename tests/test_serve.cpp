@@ -20,6 +20,7 @@
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "data/window.hpp"
+#include "fuzz_bytes.hpp"
 #include "serve/bundle_io.hpp"
 #include "serve/chaos.hpp"
 #include "serve/service.hpp"
@@ -506,36 +507,88 @@ std::string tiny_serialized_bundle() {
   return bytes;
 }
 
+TEST(BundleIo, SavedBytesMatchTheRecordedFingerprint) {
+  // Workers and bundle caches read SCWCBNDL v1 files written by earlier
+  // builds; recorded from the per-format encoder that preceded the shared
+  // byte codec.
+  const std::string bytes = tiny_serialized_bundle();
+  EXPECT_EQ(bytes.size(), 1211u);
+  EXPECT_EQ(bytes_test::fnv1a64(bytes), 0xde5b37cc0840044aULL);
+}
+
+/// Loads `bytes` from both byte sources — a stream and the in-memory view
+/// the cluster worker decodes in place. The two must agree: both load, or
+/// both throw the same scwc::Error (same message, same byte offset).
+void load_from_both_sources(const std::string& bytes) {
+  std::string memory_error;
+  try {
+    EXPECT_NE(serve::load_bundle_bytes(bytes), nullptr);
+  } catch (const Error& e) {
+    memory_error = e.what();
+  }
+  std::string stream_error;
+  try {
+    std::stringstream in(bytes);
+    EXPECT_NE(serve::load_bundle(in), nullptr);
+  } catch (const Error& e) {
+    stream_error = e.what();
+  }
+  EXPECT_EQ(memory_error, stream_error);
+  if (!memory_error.empty()) SCWC_FAIL(memory_error);
+}
+
 TEST(BundleIo, FuzzByteFlipAtEveryOffsetFailsTypedOrLoadsClean) {
+  // The contract: every single-byte corruption either still parses into
+  // a working bundle (flip landed in a benign double) or throws a typed
+  // scwc::Error — never a crash, never an unbounded allocation, never
+  // any other exception type.
   const std::string full = tiny_serialized_bundle();
   ASSERT_FALSE(full.empty());
-  std::size_t rejected = 0;
-  for (std::size_t offset = 0; offset < full.size(); ++offset) {
-    std::string corrupted = full;
-    corrupted[offset] = static_cast<char>(
-        static_cast<unsigned char>(corrupted[offset]) ^ 0xA5U);
-    std::stringstream in(corrupted);
-    // The contract: every single-byte corruption either still parses into
-    // a working bundle (flip landed in a benign double) or throws a typed
-    // scwc::Error — never a crash, never an unbounded allocation, never
-    // any other exception type.
-    try {
-      const auto bundle = serve::load_bundle(in);
-      ASSERT_NE(bundle, nullptr) << "offset " << offset;
-    } catch (const Error&) {
-      ++rejected;
-    }
-  }
+  const bytes_test::FlipTally tally =
+      bytes_test::fuzz_every_flip(full, load_from_both_sources);
   // The structural prefix (magic, lengths, enums, geometry) must actually
   // reject; if nothing ever threw the checks are dead code.
-  EXPECT_GT(rejected, 0u);
+  EXPECT_GT(tally.rejected, 0u);
 }
 
 TEST(BundleIo, FuzzTruncationAtEveryOffsetThrowsTyped) {
-  const std::string full = tiny_serialized_bundle();
-  for (std::size_t keep = 0; keep < full.size(); ++keep) {
-    std::stringstream in(full.substr(0, keep));
-    EXPECT_THROW((void)serve::load_bundle(in), Error) << "kept " << keep;
+  bytes_test::expect_every_truncation_throws(tiny_serialized_bundle(),
+                                             load_from_both_sources, "bundle");
+}
+
+TEST(BundleIo, FlippedMatrixShapeFailsBeforeAllocating) {
+  // A PCA bundle whose component-matrix rows are flipped to 2^20 (with
+  // cols 64, 2^26 values: 512 MiB) is within the shape caps, so only the
+  // bytes-remaining check stands between the flip and the allocation.
+  const TinyWorld& w = tiny_world();
+  serve::RfBundleSpec spec;
+  spec.version = "pca-v1";
+  spec.pipeline = {preprocess::Reduction::kPca, 2};
+  spec.forest.n_estimators = 1;
+  spec.forest.tree.max_depth = 2;
+  std::stringstream stream;
+  serve::save_bundle(*serve::train_rf_bundle(spec, w.x, w.y), stream);
+  std::string bytes = stream.str();
+  // The d×k component matrix (d = steps·sensors, k = 2) is the only place
+  // the u64 pair (d, 2) appears.
+  std::string shape(16, '\0');
+  const std::uint64_t rows = w.x.steps() * w.x.sensors();
+  const std::uint64_t cols = 2;
+  std::memcpy(shape.data(), &rows, 8);
+  std::memcpy(shape.data() + 8, &cols, 8);
+  const std::size_t at = bytes.find(shape);
+  ASSERT_NE(at, std::string::npos);
+  const std::uint64_t huge_rows = std::uint64_t{1} << 20;
+  const std::uint64_t narrow_cols = 64;
+  std::memcpy(bytes.data() + at, &huge_rows, 8);
+  std::memcpy(bytes.data() + at + 8, &narrow_cols, 8);
+  try {
+    load_from_both_sources(bytes);
+    ADD_FAILURE() << "a 2^26-value matrix in a small bundle loaded";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("truncated matrix"),
+              std::string::npos)
+        << e.what();
   }
 }
 
@@ -552,8 +605,7 @@ TEST(BundleIo, TrySwapNeverLeavesPartialRegistryState) {
     std::string corrupted = full;
     corrupted[offset] = static_cast<char>(
         static_cast<unsigned char>(corrupted[offset]) ^ 0xFFU);
-    std::stringstream in(corrupted);
-    const auto swapped = serve::try_swap_from_stream(registry, in);
+    const auto swapped = serve::try_swap_from_bytes(registry, corrupted);
     if (swapped == nullptr) {
       EXPECT_EQ(registry.current()->version(), "tiny-v1") << offset;
       EXPECT_EQ(registry.versions().size(), 1u) << offset;
@@ -569,11 +621,10 @@ TEST(BundleIo, TrySwapNeverLeavesPartialRegistryState) {
     }
   }
 
-  // An uncorrupted stream swaps atomically.
+  // An uncorrupted bundle swaps atomically.
   serve::ModelRegistry fresh;
   fresh.register_bundle(w.bundle);
-  std::stringstream in(full);
-  const auto swapped = serve::try_swap_from_stream(fresh, in);
+  const auto swapped = serve::try_swap_from_bytes(fresh, full);
   ASSERT_NE(swapped, nullptr);
   EXPECT_EQ(fresh.current()->version(), "fuzz-v1");
   EXPECT_NE(fresh.rollback(), nullptr);

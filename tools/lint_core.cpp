@@ -683,6 +683,31 @@ bool suppressed(const Suppressions& sup, std::size_t line_index,
                      sup.by_line[line_index].end(), match);
 }
 
+/// True when `line` holds `>>` or `<<` followed by `(`, `8` and `*`, with
+/// any spacing in between: `v >> (8 * i)`, `b<<(8*k)`.
+bool has_byte_shift(std::string_view line) {
+  for (std::size_t pos = 0; pos + 1 < line.size(); ++pos) {
+    const bool shift = (line[pos] == '>' && line[pos + 1] == '>') ||
+                       (line[pos] == '<' && line[pos + 1] == '<');
+    if (!shift) continue;
+    std::size_t i = pos + 2;
+    const auto skip_spaces = [&] {
+      while (i < line.size() && line[i] == ' ') ++i;
+    };
+    bool match = true;
+    for (const char want : {'(', '8', '*'}) {
+      skip_spaces();
+      if (i >= line.size() || line[i] != want) {
+        match = false;
+        break;
+      }
+      ++i;
+    }
+    if (match) return true;
+  }
+  return false;
+}
+
 }  // namespace
 
 FileContext classify_path(std::string_view rel_path) {
@@ -700,6 +725,7 @@ FileContext classify_path(std::string_view rel_path) {
                      rel_path.starts_with("src/common/thread_annotations.");
   ctx.is_net_impl = rel_path.starts_with("src/net/") ||
                     rel_path.starts_with("src/obs/scrape.");
+  ctx.is_codec_impl = rel_path.starts_with("src/common/bytes.");
   return ctx;
 }
 
@@ -795,6 +821,7 @@ const std::vector<std::string>& rule_names() {
       "no-unchecked-future-get", "no-raw-chrono-timing",
       "no-raw-std-mutex", "guarded-field-coverage",
       "no-lock-across-blocking-call", "no-raw-socket-calls",
+      "no-byte-shift-codec",
   };
   return kNames;
 }
@@ -939,6 +966,16 @@ std::vector<Finding> lint_source(std::string_view rel_path,
         }
         if (fired) break;  // one report per line is enough
       }
+    }
+
+    // no-byte-shift-codec: `>> (8 *` / `<< (8 *` (any spacing) is the
+    // signature of a hand-rolled little-endian loop; library code outside
+    // the shared codec must use ByteWriter / ByteReader instead.
+    if (ctx.in_lib && !ctx.is_codec_impl && has_byte_shift(line)) {
+      report(i, "no-byte-shift-codec",
+             "byte-shift codec loop outside src/common/bytes.* — encode and "
+             "decode through scwc::ByteWriter / ByteReader "
+             "(src/common/bytes.hpp)");
     }
 
     // no-unchecked-future-get: in lib code, a bare .get() on a future

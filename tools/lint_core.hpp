@@ -44,6 +44,11 @@
 //                     on a *different* handle while a lock guard is live —
 //                     blocking under a held mutex stalls every other thread
 //                     on that lock and invites deadlock
+//   no-byte-shift-codec
+//                     `>> (8 *` / `<< (8 *` byte-shift loops in src/ outside
+//                     src/common/bytes.* — every binary format encodes and
+//                     decodes through the one bounded little-endian codec
+//                     (ByteWriter / ByteReader), not a hand-rolled copy
 //
 // The first six scan line-by-line; the last three (and the chrono rule)
 // are declaration-aware: they parse class bodies, guard-variable scopes
@@ -95,6 +100,9 @@ struct FileContext {
   /// src/net/* and src/obs/scrape.* — the two sanctioned homes of raw
   /// socket syscalls; everywhere else no-raw-socket-calls applies.
   bool is_net_impl = false;
+  /// src/common/bytes.* — the shared byte codec, the one home of
+  /// byte-shift encoding loops (no-byte-shift-codec).
+  bool is_codec_impl = false;
 };
 
 /// Derives the context from a repo-relative path like "src/common/rng.cpp".
